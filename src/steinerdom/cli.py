@@ -19,6 +19,7 @@ from .forest_domination import forest_domination
 from .oracles import CapExceededError
 from .steiner_domination import steiner_domination
 from .tree_model import (
+    ParseError,
     TreeModelError,
     format_parent_file,
     parse_edge_list,
@@ -96,6 +97,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_input(path: Path) -> str:
+    """The file as text; a non-ASCII byte is a line-numbered ParseError."""
+    data = path.read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"line {lineno}: byte 0x{data[exc.start]:02x} is not ASCII"
+        ) from None
+
+
 def _load_tree(path_text: str, fmt: str):
     path = Path(path_text)
     if fmt == "auto":
@@ -108,7 +121,7 @@ def _load_tree(path_text: str, fmt: str):
             raise TreeModelError(
                 f"cannot infer format of {path.name!r}; pass --format par|edg"
             )
-    text = path.read_text()
+    text = _read_input(path)
     if fmt == "par":
         return parse_parent_file(text)
     return relabel_bfs(parse_edge_list(text))[0]
@@ -140,7 +153,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gamma_forest(args) -> int:
-    parents = parse_parent_file(Path(args.input).read_text())
+    parents = parse_parent_file(_read_input(Path(args.input)))
     validate(parents, "forest")
     dom = forest_domination(parents)
     if args.json:

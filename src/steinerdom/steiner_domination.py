@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .forest_domination import forest_domination
-from .tree_model import AdjacencyTree, ParentArray, ValidationError, leaf_set, validate
+from .tree_model import ParentArray, validate
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,11 @@ class CoreForest:
     core's parent array automatically satisfies parent < vertex and can be
     fed straight to forest_domination.
 
-    to_tree maps core label -> tree label (strictly increasing); from_tree
-    maps tree label -> core label, 0 for vertices outside the core.
+    to_tree maps core label -> tree label (strictly increasing).
     """
 
     m: int
     to_tree: tuple[int, ...]
-    from_tree: tuple[int, ...]
     parents: ParentArray
 
 
@@ -109,23 +107,8 @@ def _build_core(n: int, par: tuple[int, ...], is_leaf: bytearray) -> CoreForest:
     return CoreForest(
         m=m,
         to_tree=tuple(to_tree),
-        from_tree=tuple(from_tree[1:]),
         parents=ParentArray(m, tuple(nparent)),
     )
-
-
-def build_core_forest(t: AdjacencyTree, leaves: tuple[int, ...]) -> CoreForest:
-    """Core forest of a tree, given its leaf set.
-
-    ``leaves`` must equal leaf_set(t); passing anything else is rejected
-    rather than silently producing a different subgraph.
-    """
-    if tuple(leaves) != leaf_set(t):
-        raise ValidationError("leaves argument does not match leaf_set of the tree")
-    is_leaf = bytearray(t.n + 1)
-    for v in leaves:
-        is_leaf[v] = 1
-    return _build_core(t.n, t.parent, is_leaf)
 
 
 def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
@@ -147,19 +130,3 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
         size=len(sd),
         formula_value=len(leaves) + len(core_dom_local),
     )
-
-
-def formula_value(t: AdjacencyTree) -> int:
-    """leaf_count + core domination number, without materializing the set.
-
-    Defined for trees with n >= 2; the single-vertex tree is handled by the
-    K1 convention in steiner_domination instead.
-    """
-    if t.n < 2:
-        raise ValidationError("formula requires a tree on at least 2 vertices")
-    leaves = leaf_set(t)
-    is_leaf = bytearray(t.n + 1)
-    for v in leaves:
-        is_leaf[v] = 1
-    core = _build_core(t.n, t.parent, is_leaf)
-    return len(leaves) + len(forest_domination(core.parents))

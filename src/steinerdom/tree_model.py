@@ -10,6 +10,8 @@ relabeling that restores the ordering.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,7 +25,16 @@ class ParseError(TreeModelError):
 
 
 class ValidationError(TreeModelError):
-    """Structurally invalid tree, forest, or vertex set."""
+    """Structurally invalid tree, forest, or vertex set.
+
+    ``position`` is the index of the offending parent entry or edge when
+    the error is about one, so that a parser can name the line it came
+    from; it is None otherwise.
+    """
+
+    def __init__(self, message: str, position: int | None = None) -> None:
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -32,9 +43,10 @@ class ParentArray:
 
     ``parent[i - 1]`` is the parent label of vertex i, with 0 for roots.
     Every entry satisfies parent < vertex, so children always carry larger
-    labels than their parents.  n = 0 (the empty forest) is allowed so that
-    an empty induced subforest can be passed around without special cases;
-    the file formats themselves require n >= 1.
+    labels than their parents and vertex 1 is always a root.  n = 0 (the
+    empty forest) is allowed so that an empty induced subforest can be
+    passed around without special cases; the file formats themselves
+    require n >= 1.
     """
 
     n: int
@@ -51,8 +63,7 @@ class ParentArray:
             # vertex label is idx + 1; parent must be in {0, .., idx}
             if not 0 <= p <= idx:
                 raise ValidationError(
-                    f"parent of vertex {idx + 1} is {p} "
-                    f"(must be in 0..{idx})"
+                    f"parent of vertex {idx + 1} is {p} (must be in 0..{idx})", idx
                 )
 
     def roots(self) -> tuple[int, ...]:
@@ -67,17 +78,21 @@ class EdgeList:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        n = self.n
         seen = set()
-        for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
+        for pos, (u, v) in enumerate(self.edges):
+            if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(
-                    f"edge ({u}, {v}) has a label outside 1..{self.n}"
+                    f"edge ({u}, {v}) has a label outside 1..{n}", pos
                 )
             if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
+                raise ValidationError(f"self-loop at vertex {u}", pos)
+            # one int per unordered pair: cheaper to hash and store than a tuple
+            key = u * (n + 1) + v if u < v else v * (n + 1) + u
             if key in seen:
-                raise ValidationError(f"duplicate edge ({key[0]}, {key[1]})")
+                raise ValidationError(
+                    f"duplicate edge ({min(u, v)}, {max(u, v)})", pos
+                )
             seen.add(key)
 
 
@@ -95,106 +110,102 @@ class AdjacencyTree:
     degree: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    root_labels: tuple[int, ...]
+# After CRLF -> LF, a file may hold only ASCII digits, spaces, tabs and LF.
+_OUTSIDE_GRAMMAR = re.compile(r"[^0-9 \t\n]")
+
+
+def _lex(text: str) -> tuple[int, list[int], list[int], list[int]]:
+    """The file-format rules that .par and .edg share.
+
+    Checks the grammar in one scan (tokens are [0-9]+ separated by spaces
+    or tabs, lines end in LF or CRLF, blank lines are skipped) and reads
+    the vertex count n >= 1 from the first non-blank line.  Returns n, the
+    line number and token count of every non-blank line (the count's line
+    first), and every token as an int, in file order.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    bad = _OUTSIDE_GRAMMAR.search(text)
+    if bad is not None:
+        lineno = text.count("\n", 0, bad.start()) + 1
+        raise ParseError(
+            f"line {lineno}: character {bad.group()!r} is not a digit, space or tab"
+        )
+    lines = text.split("\n")
+    counts = list(map(len, map(str.split, lines)))
+    linenos = [lineno for lineno, c in enumerate(counts, start=1) if c]
+    try:
+        values = list(map(int, text.split()))
+    except ValueError:
+        # the grammar leaves int() only its cap on digits to object to
+        limit = sys.get_int_max_str_digits()
+        lineno = next(
+            lineno
+            for lineno, line in enumerate(lines, start=1)
+            if any(len(tok) > limit for tok in line.split())
+        )
+        raise ParseError(
+            f"line {lineno}: an integer has more digits than Python's limit of {limit}"
+        ) from None
+    if not linenos:
+        raise ParseError("line 1: empty input, expected a vertex count")
+    counts = list(filter(None, counts))
+    if counts[0] != 1:
+        raise ParseError(
+            f"line {linenos[0]}: expected a single vertex count, found {counts[0]} tokens"
+        )
+    n = values[0]
+    if n < 1:
+        raise ParseError(f"line {linenos[0]}: vertex count must be >= 1, got {n}")
+    return n, linenos, counts, values
 
 
 def parse_parent_file(text: str) -> ParentArray:
     """Parse the .par format: line 1 is n, line 2 is n parent entries.
 
-    Raises ParseError with a line diagnostic for malformed integers, entry
-    count mismatches, parent >= vertex violations, and a missing root.
+    Raises ParseError with a line diagnostic for text outside the grammar,
+    line and entry count mismatches, and any parent entry that
+    ParentArray rejects.
     """
-    lines = text.splitlines()
-    stripped = [ln.strip() for ln in lines]
-    body = [(i + 1, ln) for i, ln in enumerate(stripped) if ln]
-    if not body:
-        raise ParseError("line 1: empty input, expected a vertex count")
-    lineno, head = body[0]
-    try:
-        n = int(head)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {head!r} is not an integer vertex count") from None
-    if n < 1:
-        raise ParseError(f"line {lineno}: vertex count must be >= 1, got {n}")
-    if len(body) < 2:
-        raise ParseError(f"line {lineno}: missing parent entries for {n} vertices")
-    if len(body) > 2:
-        raise ParseError(f"line {body[2][0]}: unexpected extra line")
-    lineno, row = body[1]
-    tokens = row.split()
-    if len(tokens) != n:
+    n, linenos, counts, values = _lex(text)
+    if len(linenos) == 1:
+        raise ParseError(f"line {linenos[0]}: missing parent entries for {n} vertices")
+    if len(linenos) > 2:
+        raise ParseError(f"line {linenos[2]}: unexpected extra line")
+    if counts[1] != n:
         raise ParseError(
-            f"line {lineno}: expected {n} parent entries, found {len(tokens)}"
+            f"line {linenos[1]}: expected {n} parent entries, found {counts[1]}"
         )
-    parent = []
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            p = int(tok)
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}, entry {pos}: {tok!r} is not an integer"
-            ) from None
-        if pos == 1 and p != 0:
-            raise ParseError(
-                f"line {lineno}, entry 1: vertex 1 must be a root (parent 0), got {p}"
-            )
-        if not 0 <= p < pos:
-            raise ParseError(
-                f"line {lineno}, entry {pos}: parent {p} of vertex {pos} "
-                f"must be in 0..{pos - 1}"
-            )
-        parent.append(p)
-    return ParentArray(n, tuple(parent))
+    try:
+        return ParentArray(n, tuple(values[1:]))
+    except ValidationError as exc:
+        raise ParseError(f"line {linenos[1]}: {exc}") from None
 
 
 def parse_edge_list(text: str) -> EdgeList:
     """Parse the .edg format: line 1 is n, then n-1 lines "u v".
 
+    Raises ParseError with a line diagnostic for text outside the grammar,
+    line and label count mismatches, and any edge that EdgeList rejects.
     Connectivity is not checked here; relabel_bfs rejects disconnected
     input.
     """
-    lines = text.splitlines()
-    stripped = [ln.strip() for ln in lines]
-    body = [(i + 1, ln) for i, ln in enumerate(stripped) if ln]
-    if not body:
-        raise ParseError("line 1: empty input, expected a vertex count")
-    lineno, head = body[0]
-    try:
-        n = int(head)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {head!r} is not an integer vertex count") from None
-    if n < 1:
-        raise ParseError(f"line {lineno}: vertex count must be >= 1, got {n}")
-    rows = body[1:]
-    if len(rows) != n - 1:
+    n, linenos, counts, values = _lex(text)
+    if len(linenos) != n:
         raise ParseError(
-            f"line {lineno}: expected {n - 1} edge lines for {n} vertices, "
-            f"found {len(rows)}"
+            f"line {linenos[0]}: expected {n - 1} edge lines for {n} vertices, "
+            f"found {len(linenos) - 1}"
         )
-    edges = []
-    seen = set()
-    for lineno, row in rows:
-        tokens = row.split()
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected an edge 'u v', got {row!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: edge {row!r} has a non-integer label") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(
-                f"line {lineno}: edge ({u}, {v}) has a label outside 1..{n}"
-            )
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(f"line {lineno}: duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
-        edges.append((u, v))
-    return EdgeList(n, tuple(edges))
+    if counts.count(2) != n - 1:
+        k = next(k for k in range(1, n) if counts[k] != 2)
+        raise ParseError(
+            f"line {linenos[k]}: expected an edge 'u v', found {counts[k]} labels"
+        )
+    try:
+        return EdgeList(n, tuple(zip(values[1::2], values[2::2])))
+    except ValidationError as exc:
+        # edge i sits on the (i + 1)-th line after the vertex count
+        raise ParseError(f"line {linenos[exc.position + 1]}: {exc}") from None
 
 
 def format_parent_file(parents: ParentArray) -> str:
@@ -254,7 +265,7 @@ def relabel_bfs(
     return ParentArray(n, tuple(parent)), tuple(new_of[1:])
 
 
-def validate(parents: ParentArray, mode: str = "tree") -> ShapeReport:
+def validate(parents: ParentArray, mode: str = "tree") -> tuple[int, ...]:
     """Check root structure: exactly one root in tree mode, any number in
     forest mode.  Returns the root labels."""
     if mode not in ("tree", "forest"):
@@ -264,7 +275,7 @@ def validate(parents: ParentArray, mode: str = "tree") -> ShapeReport:
         raise ValidationError(
             f"tree mode requires exactly one root, found {len(roots)}: {list(roots)}"
         )
-    return ShapeReport(root_labels=roots)
+    return roots
 
 
 def build_adjacency(parents: ParentArray) -> AdjacencyTree:

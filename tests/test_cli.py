@@ -103,6 +103,14 @@ class TestSolve:
         assert run_cli(["solve", str(tmp_path / "absent.par")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_ascii_byte_is_a_line_numbered_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.par"
+        path.write_bytes(b"3\n0 1 \xff\n")
+        for command in ("solve", "gamma-forest"):
+            assert run_cli([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "line 2" in err
+
 
 class TestGammaForest:
     def test_json_multi_root(self, tmp_path, capsys):

@@ -108,7 +108,7 @@ class TestGen:
     )
     def test_every_family_yields_a_valid_tree(self, spec):
         pa = gen(spec)
-        assert len(validate(pa, "tree").root_labels) == 1
+        assert len(validate(pa, "tree")) == 1
 
 
 class TestEnumeration:
@@ -171,7 +171,7 @@ class TestPruferDecode:
         for seq in product(range(1, n + 1), repeat=n - 2):
             el = _prufer_to_edges(n, list(seq))
             assert len(el.edges) == n - 1
-            assert len(validate(relabel_bfs(el)[0], "tree").root_labels) == 1
+            assert len(validate(relabel_bfs(el)[0], "tree")) == 1
             seen.add(frozenset(el.edges))
         assert len(seen) == n ** (n - 2)
 

@@ -1,7 +1,8 @@
 """Data model: parsing, validation, relabeling, neighborhood primitives."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from steinerdom import (
     EdgeList,
@@ -96,6 +97,11 @@ class TestParseParentFile:
             "3\n0 1 3\n",  # parent must stay below its vertex
             "2\n0 a\n",  # non-integer entry
             "",  # empty file
+            pytest.param("3\n0 1 \uff12\n", id="full-width-digit"),
+            pytest.param("1_0\n" + "0 " * 10 + "\n", id="underscore-grouping"),
+            pytest.param("2\n0 +1\n", id="sign"),
+            pytest.param("2\n0 1\r2\n", id="bare-cr"),
+            pytest.param("1\n" + "0" * 5000 + "\n", id="over-int-digit-cap"),
         ],
     )
     def test_malformed(self, text):
@@ -125,11 +131,42 @@ class TestParseEdgeList:
             "3\n1 2\n3\n",  # not two labels
             "3\n1 2\na b\n",  # non-integer
             "2\n1 1\n",  # self loop
+            pytest.param("3\n1 2\n2 +3\n", id="sign"),
+            pytest.param("3\n1 2\n2 \uff13\n", id="full-width-digit"),
+            pytest.param("3\n1 2\n2 1\n", id="duplicate-edge"),
+            pytest.param("3\n1 2 3\n4\n", id="labels-split-wrongly"),
         ],
     )
     def test_malformed(self, text):
-        with pytest.raises((ParseError, ValidationError)):
+        with pytest.raises(ParseError, match=r"^line \d+: "):
             parse_edge_list(text)
+
+    def test_diagnostic_names_the_edge_line(self):
+        with pytest.raises(ParseError, match="^line 5: duplicate edge"):
+            parse_edge_list("4\n1 2\n\n2 3\n2 1\n")
+
+    @given(tree_arrays(min_n=1, max_n=30))
+    def test_round_trip(self, pa):
+        el = to_edge_list(pa)
+        text = f"{el.n}\n" + "".join(f"{u} {v}\n" for u, v in el.edges)
+        assert parse_edge_list(text).edges == el.edges
+
+
+# the grammar's characters plus a few that it must reject
+_FUZZ_ALPHABET = st.sampled_from(list("0123456789 \t\r\n+_-\uff12\xff"))
+
+
+@pytest.mark.parametrize("parse", [parse_parent_file, parse_edge_list])
+@example(text="9" * 4400)
+@example(text="2\n0 " + "1" * 4400 + "\n")
+@example(text="2\n1 " + "2" * 4400 + "\n")
+@given(text=st.text(_FUZZ_ALPHABET, max_size=40))
+def test_any_text_parses_or_names_a_line(parse, text):
+    """No input escapes as anything but a line-numbered ParseError."""
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert str(exc).startswith("line ")
 
 
 class TestRelabelBfs:
@@ -184,14 +221,14 @@ class TestRelabelBfs:
 
 class TestValidate:
     def test_tree_accepts_single_root(self):
-        assert validate(path_array(3), "tree").root_labels == (1,)
+        assert validate(path_array(3), "tree") == (1,)
 
     def test_tree_rejects_forest(self):
         with pytest.raises(ValidationError):
             validate(ParentArray(3, (0, 0, 1)), "tree")
 
     def test_forest_accepts_many_roots(self):
-        assert validate(ParentArray(3, (0, 0, 0)), "forest").root_labels == (1, 2, 3)
+        assert validate(ParentArray(3, (0, 0, 0)), "forest") == (1, 2, 3)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
