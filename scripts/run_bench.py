@@ -12,10 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from steinerdom import DEFAULT_SIZES, consecutive_ratios, run_bench, write_csv
-
-TIME_RATIO_LIMIT = 3.0
-MEMORY_RATIO_LIMIT = 12.0
+from steinerdom import DEFAULT_SIZES, linearity_gate, run_bench, write_csv
 
 
 def main() -> int:
@@ -35,15 +32,9 @@ def main() -> int:
             f"{rec.ns_per_vertex:>8} ns/vertex  peak {rec.peak_bytes:>12} bytes"
         )
 
-    ok = True
-    for algorithm, lo, hi, ratio in consecutive_ratios(records, "ns_per_vertex"):
-        flag = "ok" if ratio <= TIME_RATIO_LIMIT else "BREACH"
-        ok = ok and ratio <= TIME_RATIO_LIMIT
-        print(f"time   {algorithm:12} {lo} -> {hi}: {ratio:5.2f}x  {flag}")
-    for algorithm, lo, hi, ratio in consecutive_ratios(records, "peak_bytes"):
-        flag = "ok" if ratio <= MEMORY_RATIO_LIMIT else "BREACH"
-        ok = ok and ratio <= MEMORY_RATIO_LIMIT
-        print(f"memory {algorithm:12} {lo} -> {hi}: {ratio:5.2f}x  {flag}")
+    lines, ok = linearity_gate(records)
+    for line in lines:
+        print(line)
     print(f"csv written to {args.out}")
     return 0 if ok else 1
 

@@ -9,7 +9,9 @@ allocation is measured on one extra untimed repetition under tracemalloc,
 whose overhead would otherwise poison the timings.
 
 The per-vertex normalization makes the linearity gate scale-free: if the
-passes are linear, ns_per_vertex stays flat as n grows by decades.
+passes are linear, ns_per_vertex stays flat as n grows by decades.  The
+gate allows at most 3x growth of ns_per_vertex and 12x growth of peak bytes
+between consecutive sizes (a decade apart at the default sizes).
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ CSV_COLUMNS = ("n", "algorithm", "ns_total_median", "ns_per_vertex")
 ALGORITHMS = ("forest_dom", "steiner_dom")
 DEFAULT_SIZES = (10_000, 100_000, 1_000_000)
 DEFAULT_SEED = 987_654_321
+# the linearity gate: most growth allowed between consecutive sizes
+TIME_RATIO_LIMIT = 3.0
+MEMORY_RATIO_LIMIT = 12.0
 
 
 @dataclass(frozen=True)
@@ -163,3 +168,27 @@ def consecutive_ratios(
             hi_v = getattr(hi, field)
             ratios.append((algorithm, lo.n, hi.n, hi_v / lo_v))
     return tuple(ratios)
+
+
+def linearity_gate(
+    records: Sequence[BenchRecord],
+) -> tuple[tuple[str, ...], bool]:
+    """The linearity gate's verdict lines and whether every ratio passed.
+
+    One line per consecutive pair of sizes and algorithm, time first, then
+    memory, each marked ok or BREACH against its limit.
+    """
+    lines = []
+    ok = True
+    for kind, field, limit in (
+        ("time  ", "ns_per_vertex", TIME_RATIO_LIMIT),
+        ("memory", "peak_bytes", MEMORY_RATIO_LIMIT),
+    ):
+        for algorithm, lo, hi, ratio in consecutive_ratios(records, field):
+            passed = ratio <= limit
+            ok = ok and passed
+            lines.append(
+                f"{kind} {algorithm:12} {lo} -> {hi}: {ratio:5.2f}x  "
+                f"{'ok' if passed else 'BREACH'}"
+            )
+    return tuple(lines), ok

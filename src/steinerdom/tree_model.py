@@ -14,6 +14,8 @@ import re
 import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import not_
 
 
 class TreeModelError(ValueError):
@@ -67,7 +69,7 @@ class ParentArray:
                 )
 
     def roots(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, p in enumerate(self.parent) if p == 0)
+        return tuple(compress(count(1), map(not_, self.parent)))
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,17 @@ class AdjacencyTree:
 _OUTSIDE_GRAMMAR = re.compile(r"[^0-9 \t\n]")
 
 
-def _lex(text: str) -> tuple[int, list[int], list[int], list[int]]:
+def _lex(text: str) -> tuple[int, list[str], list[int], tuple[int, ...]]:
     """The file-format rules that .par and .edg share.
 
     Checks the grammar in one scan (tokens are [0-9]+ separated by spaces
     or tabs, lines end in LF or CRLF, blank lines are skipped) and reads
     the vertex count n >= 1 from the first non-blank line.  Returns n, the
-    line number and token count of every non-blank line (the count's line
-    first), and every token as an int, in file order.
+    lines, the line number of every non-blank line (the count's line
+    first), and every token as an int, in file order.  The text is split
+    into tokens once; counting the tokens of each line is left to the
+    parser that needs it, so the long data line of a .par is not split a
+    second time.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -131,33 +136,35 @@ def _lex(text: str) -> tuple[int, list[int], list[int], list[int]]:
         raise ParseError(
             f"line {lineno}: character {bad.group()!r} is not a digit, space or tab"
         )
-    lines = text.split("\n")
-    counts = list(map(len, map(str.split, lines)))
-    linenos = [lineno for lineno, c in enumerate(counts, start=1) if c]
     try:
-        values = list(map(int, text.split()))
+        values = tuple(map(int, text.split()))
     except ValueError:
         # the grammar leaves int() only its cap on digits to object to
         limit = sys.get_int_max_str_digits()
         lineno = next(
             lineno
-            for lineno, line in enumerate(lines, start=1)
+            for lineno, line in enumerate(text.split("\n"), start=1)
             if any(len(tok) > limit for tok in line.split())
         )
         raise ParseError(
             f"line {lineno}: an integer has more digits than Python's limit of {limit}"
         ) from None
+    # Split into lines only now: a copy of a long .par data line alive
+    # during the token split above would add to the peak memory.
+    lines = text.split("\n")
+    # within the grammar a line is blank iff it strips to ""
+    linenos = list(compress(count(1), map(str.strip, lines)))
     if not linenos:
         raise ParseError("line 1: empty input, expected a vertex count")
-    counts = list(filter(None, counts))
-    if counts[0] != 1:
+    first = len(lines[linenos[0] - 1].split())
+    if first != 1:
         raise ParseError(
-            f"line {linenos[0]}: expected a single vertex count, found {counts[0]} tokens"
+            f"line {linenos[0]}: expected a single vertex count, found {first} tokens"
         )
     n = values[0]
     if n < 1:
         raise ParseError(f"line {linenos[0]}: vertex count must be >= 1, got {n}")
-    return n, linenos, counts, values
+    return n, lines, linenos, values
 
 
 def parse_parent_file(text: str) -> ParentArray:
@@ -167,17 +174,18 @@ def parse_parent_file(text: str) -> ParentArray:
     line and entry count mismatches, and any parent entry that
     ParentArray rejects.
     """
-    n, linenos, counts, values = _lex(text)
+    n, _, linenos, values = _lex(text)
     if len(linenos) == 1:
         raise ParseError(f"line {linenos[0]}: missing parent entries for {n} vertices")
     if len(linenos) > 2:
         raise ParseError(f"line {linenos[2]}: unexpected extra line")
-    if counts[1] != n:
+    # every token after the count's is on the one data line
+    if len(values) - 1 != n:
         raise ParseError(
-            f"line {linenos[1]}: expected {n} parent entries, found {counts[1]}"
+            f"line {linenos[1]}: expected {n} parent entries, found {len(values) - 1}"
         )
     try:
-        return ParentArray(n, tuple(values[1:]))
+        return ParentArray(n, values[1:])
     except ValidationError as exc:
         raise ParseError(f"line {linenos[1]}: {exc}") from None
 
@@ -190,12 +198,16 @@ def parse_edge_list(text: str) -> EdgeList:
     Connectivity is not checked here; relabel_bfs rejects disconnected
     input.
     """
-    n, linenos, counts, values = _lex(text)
+    n, lines, linenos, values = _lex(text)
     if len(linenos) != n:
         raise ParseError(
             f"line {linenos[0]}: expected {n - 1} edge lines for {n} vertices, "
             f"found {len(linenos) - 1}"
         )
+    # token counts of the non-blank lines, aligned with linenos; the lines
+    # are as large as the text, so they go before the edges are built
+    counts = list(filter(None, map(len, map(str.split, lines))))
+    del lines
     if counts.count(2) != n - 1:
         k = next(k for k in range(1, n) if counts[k] != 2)
         raise ParseError(
@@ -206,6 +218,20 @@ def parse_edge_list(text: str) -> EdgeList:
     except ValidationError as exc:
         # edge i sits on the (i + 1)-th line after the vertex count
         raise ParseError(f"line {linenos[exc.position + 1]}: {exc}") from None
+
+
+def position_line(text: str, position: int) -> int:
+    """The line of a parsed .par or .edg text that holds parent entry or
+    edge ``position`` (counted from 0).
+
+    Names the line of an error found after parsing, such as validate's
+    second root or relabel_bfs's cycle.  It lexes the text again, so it
+    belongs on error paths.  A .par file's entries share its one data line;
+    edge i of a .edg file is the (i + 1)-th line after the vertex count
+    (with n = 2 both rules give the second non-blank line).
+    """
+    linenos = _lex(text)[2]
+    return linenos[1] if len(linenos) == 2 else linenos[position + 1]
 
 
 def format_parent_file(parents: ParentArray) -> str:
@@ -259,23 +285,57 @@ def relabel_bfs(
                 parent[assigned - 1] = new_of[old]
                 queue.append(nbr)
     if assigned != n:
+        pos = _first_cycle_edge(n, edges.edges)
+        u, v = edges.edges[pos]
         raise ValidationError(
-            f"edge list is disconnected: reached {assigned} of {n} vertices"
+            f"edge list is disconnected: reached {assigned} of {n} vertices; "
+            f"edge ({u}, {v}) closes a cycle",
+            pos,
         )
     return ParentArray(n, tuple(parent)), tuple(new_of[1:])
 
 
+def _first_cycle_edge(n: int, edges: tuple[tuple[int, int], ...]) -> int:
+    """Position of the first edge, in list order, whose ends the edges
+    before it already connect.
+
+    n - 1 edges that leave a vertex unreached always contain a cycle, so
+    relabel_bfs calls this only after its BFS has failed.  Union-find with
+    path halving over labels 1..n.
+    """
+    comp = list(range(n + 1))
+    for pos, (u, v) in enumerate(edges):
+        while comp[u] != u:
+            comp[u] = comp[comp[u]]
+            u = comp[u]
+        while comp[v] != v:
+            comp[v] = comp[comp[v]]
+            v = comp[v]
+        if u == v:
+            return pos
+        comp[u] = v
+    raise AssertionError("n - 1 acyclic edges on n vertices connect them all")
+
+
 def validate(parents: ParentArray, mode: str = "tree") -> tuple[int, ...]:
     """Check root structure: exactly one root in tree mode, any number in
-    forest mode.  Returns the root labels."""
+    forest mode.  Returns the root labels.
+
+    A second root in tree mode is reported with the position of its parent
+    entry, so that a caller holding the file can name its line.
+    """
     if mode not in ("tree", "forest"):
         raise ValueError(f"mode must be 'tree' or 'forest', got {mode!r}")
+    if mode == "forest":
+        return parents.roots()
+    # parent < vertex makes vertex 1 a root whenever n >= 1
+    if parents.parent.count(0) == 1:
+        return (1,)
     roots = parents.roots()
-    if mode == "tree" and len(roots) != 1:
-        raise ValidationError(
-            f"tree mode requires exactly one root, found {len(roots)}: {list(roots)}"
-        )
-    return roots
+    found = f"tree mode requires exactly one root, found {len(roots)}: {list(roots)}"
+    if not roots:
+        raise ValidationError(found)
+    raise ValidationError(f"vertex {roots[1]} is a second root; {found}", roots[1] - 1)
 
 
 def build_adjacency(parents: ParentArray) -> AdjacencyTree:

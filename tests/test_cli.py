@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from steinerdom import linearity_gate
+from steinerdom.bench import BenchRecord
 from steinerdom.cli import main
 
 P5_PATH_PAR = "5\n0 1 2 3 4\n"
@@ -98,6 +100,26 @@ class TestSolve:
         path.write_text("3\n0 1 x\n")
         assert run_cli(["solve", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, line, named",
+        [
+            # a second root is named on the data line, blank lines counted
+            ("forest.par", "4\n0 0 1 2\n", 2, "vertex 2 is a second root"),
+            ("forest.par", "\n4\n\n0 1 0 0\n", 4, "vertex 3 is a second root"),
+            # the edge closing the cycle 1-2-3 is named; 4 (and 5) stay unreached
+            ("cycle.edg", "4\n1 2\n2 3\n3 1\n", 4, "edge (3, 1) closes a cycle"),
+            ("cycle.edg", "5\n4 5\n\n2 1\n3 2\n1 3\n", 6, "edge (1, 3) closes a cycle"),
+        ],
+    )
+    def test_non_tree_names_its_line(self, tmp_path, capsys, name, text, line, named):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"steinerdom solve: error: line {line}: ")
+        assert named in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["solve", str(tmp_path / "absent.par")]) == 1
@@ -265,7 +287,33 @@ class TestBench:
         assert len(rows) == 5  # header plus two sizes times two algorithms
         assert [r[0] for r in rows[1:]] == ["200", "200", "400", "400"]
         assert {r[1] for r in rows[1:]} == {"forest_dom", "steiner_dom"}
-        assert "csv written" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "csv written" in out
+        # the gate's verdict lines: time and memory for both algorithms
+        verdicts = [line for line in out.splitlines() if "200 -> 400" in line]
+        assert len(verdicts) == 4
+        assert all(line.endswith(("ok", "BREACH")) for line in verdicts)
+
+    def test_gate_flags_each_breach(self):
+        def rec(n, algorithm, ns_per_vertex, peak_bytes):
+            ns_total = int(ns_per_vertex * n)
+            return BenchRecord(n, algorithm, ns_total, ns_per_vertex, 3, 0, peak_bytes)
+
+        records = [
+            rec(10, "forest_dom", 1.0, 100),
+            rec(10, "steiner_dom", 1.0, 100),
+            rec(100, "forest_dom", 3.0, 1200),  # both at their limits
+            rec(100, "steiner_dom", 3.5, 1300),  # both over
+        ]
+        lines, ok = linearity_gate(records)
+        assert not ok
+        assert [line.split()[0] + " " + line.split()[-1] for line in lines] == [
+            "time ok",
+            "time BREACH",
+            "memory ok",
+            "memory BREACH",
+        ]
+        assert linearity_gate(records[:3])[1]
 
     def test_too_few_reps(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

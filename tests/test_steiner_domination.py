@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerdom import (
     ParentArray,
@@ -48,20 +49,37 @@ class TestCoreForest:
         every tree with up to 9 vertices."""
         for n in range(2, 10):
             for pa in enumerate_parent_arrays(n, "trees"):
-                t = build_adjacency(pa)
-                leaves = leaf_set(t)
-                core = steiner_domination(pa).core
-                from_tree = {v: h for h, v in enumerate(core.to_tree, start=1)}
-                excluded = set(closed_neighborhood(t, leaves))
-                assert core.to_tree == tuple(
-                    v for v in range(1, n + 1) if v not in excluded
-                )
-                assert list(core.to_tree) == sorted(core.to_tree)
-                for h, tree_label in enumerate(core.to_tree, start=1):
-                    tp = t.parent[tree_label - 1]
-                    expected = from_tree.get(tp, 0)
-                    assert core.parents.parent[h - 1] == expected
-                    assert core.parents.parent[h - 1] < h
+                _assert_core_matches_definition(pa)
+
+    @given(tree_arrays(min_n=1, max_n=60), st.data())
+    def test_membership_definition_rerooted(self, pa, data):
+        """The same definition on random trees, also re-rooted at a drawn
+        vertex, so the root is a leaf (or K1, or P2) as often as not."""
+        root = data.draw(st.integers(1, pa.n), label="root")
+        _assert_core_matches_definition(pa)
+        _assert_core_matches_definition(relabel_bfs(to_edge_list(pa), root)[0])
+
+
+def _assert_core_matches_definition(pa):
+    """The solver's leaves are leaf_set's, its core is the vertices outside
+    N[leaves] in ascending order, and each core parent is the core label
+    of the tree parent (0 when that parent is outside the core)."""
+    n = pa.n
+    t = build_adjacency(pa)
+    leaves = leaf_set(t)
+    r = steiner_domination(pa)
+    assert r.leaves == leaves
+    core = r.core
+    from_tree = {v: h for h, v in enumerate(core.to_tree, start=1)}
+    excluded = set(closed_neighborhood(t, leaves))
+    assert core.to_tree == tuple(v for v in range(1, n + 1) if v not in excluded)
+    assert core.m == len(core.to_tree)
+    assert list(core.to_tree) == sorted(core.to_tree)
+    for h, tree_label in enumerate(core.to_tree, start=1):
+        tp = t.parent[tree_label - 1]
+        expected = from_tree.get(tp, 0)
+        assert core.parents.parent[h - 1] == expected
+        assert core.parents.parent[h - 1] < h
 
 
 class TestSteinerDomination:

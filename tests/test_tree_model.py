@@ -21,7 +21,7 @@ from steinerdom import (
     validate,
 )
 
-from conftest import adjacency, path_array, star_array, tree_arrays
+from conftest import adjacency, forest_arrays, path_array, star_array, tree_arrays
 
 
 class TestParentArray:
@@ -196,6 +196,23 @@ class TestRelabelBfs:
         with pytest.raises(ValidationError, match="disconnected"):
             relabel_bfs(el)
 
+    @pytest.mark.parametrize(
+        "n, edges, position",
+        [
+            (4, ((1, 2), (1, 3), (2, 3)), 2),
+            (5, ((4, 5), (2, 1), (3, 2), (1, 3)), 3),
+            # two cycles: the first closed in list order is away from the
+            # BFS root (vertex 1)
+            (7, ((4, 5), (5, 6), (1, 2), (6, 4), (2, 3), (3, 1)), 3),
+        ],
+    )
+    def test_disconnected_names_the_edge_closing_a_cycle(self, n, edges, position):
+        with pytest.raises(ValidationError) as info:
+            relabel_bfs(EdgeList(n, edges))
+        assert info.value.position == position
+        u, v = edges[position]
+        assert f"edge ({u}, {v}) closes a cycle" in str(info.value)
+
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(ValidationError):
             relabel_bfs(EdgeList(3, ((1, 2),)))
@@ -226,6 +243,26 @@ class TestValidate:
     def test_tree_rejects_forest(self):
         with pytest.raises(ValidationError):
             validate(ParentArray(3, (0, 0, 1)), "tree")
+
+    def test_second_root_is_named_with_its_entry(self):
+        with pytest.raises(ValidationError, match="vertex 3 is a second root") as info:
+            validate(ParentArray(5, (0, 1, 0, 3, 0)), "tree")
+        assert info.value.position == 2
+
+    def test_empty_forest_is_not_a_tree(self):
+        with pytest.raises(ValidationError, match="found 0") as info:
+            validate(ParentArray(0, ()), "tree")
+        assert info.value.position is None
+
+    @given(forest_arrays(max_n=12))
+    def test_roots_are_the_zero_entries(self, pa):
+        roots = tuple(i + 1 for i, p in enumerate(pa.parent) if p == 0)
+        assert pa.roots() == roots == validate(pa, "forest")
+        if len(roots) == 1:
+            assert validate(pa, "tree") == roots
+        else:
+            with pytest.raises(ValidationError):
+                validate(pa, "tree")
 
     def test_forest_accepts_many_roots(self):
         assert validate(ParentArray(3, (0, 0, 0)), "forest") == (1, 2, 3)
