@@ -2,8 +2,7 @@
 
 Exit codes are part of the contract everywhere: 0 for success, 1 for any
 usage, parse, validation, or internal error, and 2 reserved for a verify
-run that wrote discrepancy certificates.  All vertex labels printed by
-solve are labels of the input tree; core-internal labels never leak.
+run that wrote discrepancy certificates.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .tree_model import (
     parse_parent_file,
     position_line,
     relabel_bfs,
-    validate,
 )
 from .verify import run_verify
 
@@ -171,7 +169,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gamma_forest(args) -> int:
     parents = parse_parent_file(_read_input(Path(args.input)))
-    validate(parents, "forest")
     dom = forest_domination(parents)
     if args.json:
         payload = {

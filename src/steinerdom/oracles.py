@@ -13,10 +13,17 @@ logic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .tree_model import AdjacencyTree, ValidationError
+from .tree_model import (
+    AdjacencyTree,
+    ParentArray,
+    ValidationError,
+    build_adjacency,
+    leaf_set,
+)
 
 
 class CapExceededError(ValueError):
@@ -49,18 +56,24 @@ def _single_root(t: AdjacencyTree) -> None:
         raise ValidationError("operation requires a single tree")
 
 
-def _prune_to_span(t: AdjacencyTree, terminals: set[int]) -> tuple[bytearray, int]:
-    """Iteratively delete degree-1 vertices outside the terminal set.
+def _prune_to_span(t: AdjacencyTree, w: tuple[int, ...]) -> tuple[bytearray, int]:
+    """Iteratively delete degree-1 vertices outside the terminal set w.
 
     Returns (alive flags indexed 1..n, survivor count).  In a tree the
     surviving vertices are exactly the unique minimal connected subgraph
     containing the terminals.
     """
+    _single_root(t)
+    if not w:
+        raise ValidationError("terminal set must be non-empty")
+    terminals = set()
+    for v in w:
+        if not 1 <= v <= t.n:
+            raise ValidationError(f"vertex {v} out of range 1..{t.n}")
+        terminals.add(v)
     n = t.n
     deg = list(t.degree)
-    alive = bytearray(n + 1)
-    for i in range(1, n + 1):
-        alive[i] = 1
+    alive = bytearray(b"\1" * (n + 1))  # index 0 is no vertex and never read
     stack = [v for v in range(1, n + 1) if deg[v - 1] == 1 and v not in terminals]
     survivors = n
     while stack:
@@ -82,15 +95,7 @@ def _prune_to_span(t: AdjacencyTree, terminals: set[int]) -> tuple[bytearray, in
 
 def steiner_subtree(t: AdjacencyTree, w: tuple[int, ...]) -> SteinerTreeSpan:
     """Minimal subtree of t spanning the non-empty vertex set w."""
-    _single_root(t)
-    if not w:
-        raise ValidationError("terminal set must be non-empty")
-    terminals = set()
-    for v in w:
-        if not 1 <= v <= t.n:
-            raise ValidationError(f"vertex {v} out of range 1..{t.n}")
-        terminals.add(v)
-    alive, survivors = _prune_to_span(t, terminals)
+    alive, survivors = _prune_to_span(t, w)
     vertices = tuple(v for v in range(1, t.n + 1) if alive[v])
     return SteinerTreeSpan(vertices=vertices, edge_count=survivors - 1)
 
@@ -102,16 +107,7 @@ def steiner_distance(t: AdjacencyTree, w: tuple[int, ...]) -> int:
 
 def is_steiner_set(t: AdjacencyTree, w: tuple[int, ...]) -> bool:
     """True iff the minimal subtree spanning w covers every vertex."""
-    _single_root(t)
-    if not w:
-        raise ValidationError("terminal set must be non-empty")
-    terminals = set()
-    for v in w:
-        if not 1 <= v <= t.n:
-            raise ValidationError(f"vertex {v} out of range 1..{t.n}")
-        terminals.add(v)
-    _, survivors = _prune_to_span(t, terminals)
-    return survivors == t.n
+    return _prune_to_span(t, w)[1] == t.n
 
 
 def is_dominating_set(t: AdjacencyTree, s: tuple[int, ...]) -> bool:
@@ -207,10 +203,20 @@ def domination_number_dp(f: AdjacencyTree) -> int:
     return total
 
 
-def _leaf_labels(t: AdjacencyTree) -> list[int]:
-    if t.n == 1:
-        return [1]
-    return [v + 1 for v in range(t.n) if t.degree[v] == 1]
+def induced_forest(
+    t: AdjacencyTree, vertices: Iterable[int]
+) -> tuple[AdjacencyTree, tuple[int, ...]]:
+    """The subforest of t induced by ``vertices``, and their tree labels.
+
+    The vertices are relabelled 1..m in ascending tree-label order, which
+    keeps parent < vertex; one whose tree parent is left out is a root.
+    """
+    labels = tuple(sorted(set(vertices)))
+    if labels and not 1 <= labels[0] <= labels[-1] <= t.n:
+        raise ValidationError(f"vertices {labels[0]}..{labels[-1]} exceed 1..{t.n}")
+    new_label = {v: h for h, v in enumerate(labels, start=1)}
+    parent = tuple(new_label.get(t.parent[v - 1], 0) for v in labels)
+    return build_adjacency(ParentArray(len(labels), parent)), labels
 
 
 def min_steiner_dominating_set(
@@ -234,11 +240,11 @@ def min_steiner_dominating_set(
     masks = _closed_masks(t)
     full = (1 << n) - 1
     if prune:
-        base = _leaf_labels(t)
+        base = leaf_set(t)
         base_cover = 0
         for v in base:
             base_cover |= masks[v - 1]
-        others = [v for v in range(1, n + 1) if v not in set(base)]
+        others = [v for v in range(1, n + 1) if v not in base]
         # merged witnesses inherit (size, lex) order from the extras
         for extra_k in range(len(others) + 1):
             for combo in combinations(others, extra_k):
@@ -246,7 +252,7 @@ def min_steiner_dominating_set(
                 for v in combo:
                     cover |= masks[v - 1]
                 if cover == full:
-                    w = tuple(sorted(base + list(combo)))
+                    w = tuple(sorted(base + combo))
                     if is_steiner_set(t, w):
                         return len(w), w
         raise AssertionError("the full vertex set is Steiner and dominating")

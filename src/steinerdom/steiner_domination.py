@@ -13,25 +13,26 @@ core, and on some trees that beats this construction.  The verify harness
 audits the gap against exact oracles and emits a certificate for every
 instance where the construction loses; nothing here hides that.
 
-Three passes before the forest pass build the leaves and the core.  Each
-iterates in C (map, compress, bytes.translate) over byte flags indexed by
-tree label, with no per-vertex Python loop; only the ParentArray
-constructor's check of the core's parent entries loops in Python:
+Three passes build the leaves and the core.  Each iterates in C (map,
+compress, bytes.translate) over byte flags indexed by tree label, so no
+per-vertex loop runs in Python before the forest pass:
 
 1. leaf flags: mark every vertex that is some vertex's parent, invert the
    marks, then fix the root, which is a leaf iff it has at most one child;
 2. closed neighborhood N[L]: mark the leaves, their parents and, when the
    root is a leaf, its only child;
-3. core: invert N[L] to get the core vertices in ascending label order,
-   number them 1..m, and read each one's core parent through that
-   numbering, 0 when its tree parent is outside the core.
+3. core: invert N[L] to list the core vertices in ascending label order.
+
+forest_domination then runs on the tree's own parent array with N[L]
+flagged outside: a core vertex whose tree parent is in N[L], or the tree's
+root, is a root of the core forest, and the set comes back in tree labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import setitem, sub
+from operator import setitem
 
 from .forest_domination import forest_domination
 from .tree_model import ParentArray, validate
@@ -44,19 +45,13 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 class CoreForest:
     """The forest induced by vertices at distance >= 2 from every leaf.
 
-    Core vertices are relabelled 1..m in ascending tree-label order, so the
-    core's parent array automatically satisfies parent < vertex and can be
-    fed straight to forest_domination.  A core vertex's core parent is the
-    core label of its tree parent, or 0 (a core root) when that parent is
-    adjacent to a leaf or the vertex is the tree's root; a tree parent is
-    never itself a leaf, since that would put its child in N[L].
-
-    to_tree maps core label -> tree label (strictly increasing).
+    to_tree lists its m vertices by tree label, ascending.  A core vertex's
+    parent in the core forest is its tree parent when that is a core
+    vertex; otherwise the vertex is a core root.
     """
 
     m: int
     to_tree: tuple[int, ...]
-    parents: ParentArray
 
 
 @dataclass(frozen=True)
@@ -100,29 +95,14 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     any(map(setitem, repeat(in_nl), compress(par, is_leaf[1:]), repeat(1)))
     if is_leaf[1] and n > 1:
         in_nl[2] = 1
-    is_core = in_nl.translate(_FLIP)
-    to_tree = tuple(compress(range(n + 1), is_core))
-    m = len(to_tree)
-    from_tree = [0] * (n + 1)
-    any(map(setitem, repeat(from_tree), to_tree, range(1, m + 1)))
-    core = CoreForest(
-        m=m,
-        to_tree=to_tree,
-        parents=ParentArray(
-            m, tuple(map(from_tree.__getitem__, compress(par, is_core[1:])))
-        ),
-    )
-    # n-sized; dropped before the forest pass allocates its own arrays
-    del from_tree
-
-    core_dom_local = forest_domination(core.parents)
-    core_dom = tuple(map(to_tree.__getitem__, map(sub, core_dom_local, repeat(1))))
+    to_tree = tuple(compress(range(n + 1), in_nl.translate(_FLIP)))
+    core_dom = forest_domination(parents, outside=in_nl)
     sd = tuple(sorted(leaves + core_dom))
     return SteinerDominationResult(
         leaves=leaves,
-        core=core,
+        core=CoreForest(m=len(to_tree), to_tree=to_tree),
         core_dominating_set=core_dom,
         steiner_dominating_set=sd,
         size=len(sd),
-        formula_value=len(leaves) + len(core_dom_local),
+        formula_value=len(leaves) + len(core_dom),
     )

@@ -332,7 +332,9 @@ def validate(parents: ParentArray, mode: str = "tree") -> tuple[int, ...]:
     if parents.parent.count(0) == 1:
         return (1,)
     roots = parents.roots()
-    found = f"tree mode requires exactly one root, found {len(roots)}: {list(roots)}"
+    # a forest file may hold a root per vertex; the message names a few
+    shown = ", ".join(map(str, roots[:5])) + (", ..." if len(roots) > 5 else "")
+    found = f"tree mode requires exactly one root, found {len(roots)}: [{shown}]"
     if not roots:
         raise ValidationError(found)
     raise ValidationError(f"vertex {roots[1]} is a second root; {found}", roots[1] - 1)
@@ -363,11 +365,9 @@ def leaf_set(t: AdjacencyTree) -> tuple[int, ...]:
     any other end-vertex.  The single vertex of K1 is its own leaf by
     convention.
     """
-    roots = [i + 1 for i, p in enumerate(t.parent) if p == 0]
-    if len(roots) != 1:
-        raise ValidationError(
-            f"leaf_set needs a single tree, found {len(roots)} roots"
-        )
+    roots = t.parent.count(0)
+    if roots != 1:
+        raise ValidationError(f"leaf_set needs a single tree, found {roots} roots")
     if t.n == 1:
         return (1,)
     return tuple(v + 1 for v in range(t.n) if t.degree[v] == 1)

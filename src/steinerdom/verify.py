@@ -4,9 +4,9 @@ For every instance the harness checks three layers:
 
   (a) validity: the emitted Steiner dominating set contains every leaf,
       spans the tree, and dominates it;
-  (b) minimum-domination agreement: the forest pass matches the
-      independent dynamic program on both the core forest and the whole
-      instance, and the enumeration oracle where its cap allows;
+  (b) minimum-domination agreement: the core is the forest induced
+      outside N[leaves], and the solver's set for it and the forest pass on
+      the whole instance match the DP and, within its cap, enumeration;
   (c) the headline size: construction size (= leaf count + core
       domination number) versus the exact Steiner domination number.
 
@@ -35,6 +35,7 @@ from .oracles import (
     DEFAULT_CAPS,
     OracleCaps,
     domination_number_dp,
+    induced_forest,
     is_dominating_set,
     is_steiner_set,
     min_dominating_set,
@@ -45,7 +46,9 @@ from .tree_model import (
     ParentArray,
     ValidationError,
     build_adjacency,
+    closed_neighborhood,
     format_parent_file,
+    leaf_set,
     parse_parent_file,
 )
 
@@ -206,13 +209,18 @@ def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> Ins
         and res.size == len(sd) == res.formula_value
     )
 
-    core_adj = build_adjacency(res.core.parents)
-    core_local = forest_domination(res.core.parents)
-    optimality_ok = len(core_local) == domination_number_dp(core_adj)
-    if optimality_ok and res.core.m <= caps.dominating:
+    nl = set(closed_neighborhood(t, leaf_set(t)))
+    core, core_labels = induced_forest(t, [v for v in range(1, t.n + 1) if v not in nl])
+    core_dom = set(res.core_dominating_set)
+    core_local = tuple(h for h, v in enumerate(core_labels, start=1) if v in core_dom)
+    optimality_ok = (
+        res.core.to_tree == core_labels
+        and len(core_local) == len(res.core_dominating_set) == domination_number_dp(core)
+    )
+    if optimality_ok and core.n <= caps.dominating:
         optimality_ok = (
-            len(core_local) == min_dominating_set(core_adj, caps)[0]
-            and (res.core.m == 0 or is_dominating_set(core_adj, core_local))
+            len(core_local) == min_dominating_set(core, caps)[0]
+            and is_dominating_set(core, core_local)
         )
     whole = forest_domination(parents)
     if optimality_ok:

@@ -20,6 +20,7 @@ from steinerdom import (
     enumerate_parent_arrays,
     forest_domination,
     gen,
+    induced_forest,
     is_dominating_set,
     is_steiner_set,
     leaf_set,
@@ -96,7 +97,7 @@ def test_3_construction_validity(capsys):
         t = build_adjacency(pa)
         res = steiner_domination(pa)
         sd = res.steiner_dominating_set
-        core_gamma = domination_number_dp(build_adjacency(res.core.parents))
+        core_gamma = domination_number_dp(induced_forest(t, res.core.to_tree)[0])
         valid = (
             set(res.leaves) <= set(sd)
             and is_steiner_set(t, sd)

@@ -121,6 +121,15 @@ class TestSolve:
         assert err.startswith(f"steinerdom solve: error: line {line}: ")
         assert named in err
 
+    def test_many_roots_give_a_short_error(self, tmp_path, capsys):
+        path = tmp_path / "forest.par"
+        path.write_text(f"100000\n{'0 ' * 100000}\n")
+        assert run_cli(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "steinerdom solve: error: line 2: vertex 2 is a second root; tree mode "
+            "requires exactly one root, found 100000: [1, 2, 3, 4, 5, ...]\n"
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli(["solve", str(tmp_path / "absent.par")]) == 1
         assert "error" in capsys.readouterr().err

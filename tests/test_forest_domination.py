@@ -1,15 +1,19 @@
 """The three-state forest pass: optimality, domination, state machine."""
 
+import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from steinerdom import (
     LabelState,
     ParentArray,
+    ValidationError,
     build_adjacency,
     closed_neighborhood,
     domination_number_dp,
     enumerate_parent_arrays,
     forest_domination,
+    induced_forest,
     is_dominating_set,
     min_dominating_set,
 )
@@ -22,7 +26,7 @@ class TestExamples:
         assert forest_domination(ParentArray(6, (0, 1, 2, 0, 4, 5))) == (2, 5)
 
     def test_single_vertex(self):
-        # a Bound root is collected by the final sweep
+        # a Bound root is taken at its own visit: its parent is Outside
         assert forest_domination(ParentArray(1, (0,))) == (1,)
 
     def test_star_takes_center(self):
@@ -95,6 +99,30 @@ class TestCorrectness:
                 d = forest_domination(pa)
                 assert is_dominating_set(f, d)
                 assert len(d) == min_dominating_set(f)[0]
+
+
+class TestOutside:
+    def test_flagged_parent_makes_a_root(self):
+        # P5 without vertex 4: 5 is an isolated root, taken at its visit,
+        # and 2 dominates 1-2-3
+        flags = bytes([1, 0, 0, 0, 1, 0])
+        assert forest_domination(path_array(5), outside=flags) == (2, 5)
+
+    def test_flag_count_must_be_n_plus_one(self):
+        with pytest.raises(ValidationError):
+            forest_domination(path_array(5), outside=bytes(5))
+
+    @given(forest_arrays(max_n=40), st.data())
+    def test_matches_plain_pass_on_induced_forest(self, pa, data):
+        flags = data.draw(st.lists(st.booleans(), min_size=pa.n, max_size=pa.n))
+        outside = bytes([1] + flags)
+        f, labels = induced_forest(
+            build_adjacency(pa), [v for v in range(1, pa.n + 1) if not outside[v]]
+        )
+        plain = forest_domination(ParentArray(f.n, f.parent))
+        d = forest_domination(pa, outside=outside)
+        assert d == tuple(labels[h - 1] for h in plain)
+        assert len(d) == domination_number_dp(f)
 
 
 class TestAdditivity:

@@ -19,6 +19,7 @@ from steinerdom import (
     domination_number_dp,
     enumerate_parent_arrays,
     gen,
+    induced_forest,
     is_dominating_set,
     is_steiner_set,
     leaf_set,
@@ -196,6 +197,23 @@ class TestDominationDp:
             )
             f = build_adjacency(pa)
             assert min_dominating_set(f, caps)[0] == domination_number_dp(f)
+
+
+class TestInducedForest:
+    def test_relabels_in_tree_order(self):
+        # P5 without 3: 1-2 and 4-5 become two trees labelled 1-2 and 3-4
+        f, labels = induced_forest(P5, (5, 4, 2, 1))
+        assert labels == (1, 2, 4, 5)
+        assert (f.n, f.parent, f.degree) == (4, (0, 1, 0, 3), (1, 1, 1, 1))
+
+    def test_empty_selection(self):
+        f, labels = induced_forest(P5, ())
+        assert (f.n, labels) == (0, ())
+
+    @pytest.mark.parametrize("vertices", [(0, 1), (5, 6)])
+    def test_vertex_out_of_range(self, vertices):
+        with pytest.raises(ValidationError):
+            induced_forest(P5, vertices)
 
 
 class TestMinSteinerDominatingSet:

@@ -11,6 +11,8 @@ from steinerdom import (
     closed_neighborhood,
     domination_number_dp,
     enumerate_parent_arrays,
+    forest_domination,
+    induced_forest,
     is_steiner_set,
     leaf_set,
     min_steiner_dominating_set,
@@ -25,7 +27,8 @@ from conftest import path_array, star_array, tree_arrays
 class TestCoreForest:
     def test_p5_midpoint_survives(self):
         r = steiner_domination(path_array(5))
-        assert (r.core.m, r.core.to_tree, r.core.parents.parent) == (1, (3,), (0,))
+        assert (r.core.m, r.core.to_tree) == (1, (3,))
+        assert _core_parents(path_array(5), r) == (0,)
 
     def test_star_core_empty(self):
         assert steiner_domination(star_array(4)).core.m == 0
@@ -33,20 +36,22 @@ class TestCoreForest:
     def test_double_spider_isolated_pair(self):
         # leaves {2,7,8}; N[L] = {1,2,5,6,7,8}; survivors 3 and 4 have
         # their common neighbor 1 outside the core, so both become roots
-        r = steiner_domination(ParentArray(8, (0, 1, 1, 1, 3, 4, 5, 6)))
+        pa = ParentArray(8, (0, 1, 1, 1, 3, 4, 5, 6))
+        r = steiner_domination(pa)
         assert r.leaves == (2, 7, 8)
-        assert (r.core.m, r.core.to_tree, r.core.parents.parent) == (2, (3, 4), (0, 0))
+        assert (r.core.m, r.core.to_tree) == (2, (3, 4))
+        assert _core_parents(pa, r) == (0, 0)
 
     def test_p8_inner_path_survives(self):
         r = steiner_domination(path_array(8))
         assert (r.core.m, r.core.to_tree) == (4, (3, 4, 5, 6))
-        assert r.core.parents.parent == (0, 1, 2, 3)
+        assert _core_parents(path_array(8), r) == (0, 1, 2, 3)
 
     @pytest.mark.slow
     def test_membership_definition_exhaustive(self):
-        """Core membership is exactly 'outside N[leaves]', the index map is
-        strictly increasing, and core parents mirror tree parents, on
-        every tree with up to 9 vertices."""
+        """Core membership is exactly 'outside N[leaves]' and the core's
+        dominating set is the plain pass on the induced forest, on every
+        tree with up to 9 vertices."""
         for n in range(2, 10):
             for pa in enumerate_parent_arrays(n, "trees"):
                 _assert_core_matches_definition(pa)
@@ -60,26 +65,30 @@ class TestCoreForest:
         _assert_core_matches_definition(relabel_bfs(to_edge_list(pa), root)[0])
 
 
+def _core_parents(pa, r):
+    """Parent entries of the forest induced by the solver's core."""
+    return induced_forest(build_adjacency(pa), r.core.to_tree)[0].parent
+
+
 def _assert_core_matches_definition(pa):
     """The solver's leaves are leaf_set's, its core is the vertices outside
-    N[leaves] in ascending order, and each core parent is the core label
-    of the tree parent (0 when that parent is outside the core)."""
+    N[leaves] in ascending order, and its dominating set of the core is the
+    plain forest pass on the induced forest, mapped back to tree labels."""
     n = pa.n
     t = build_adjacency(pa)
     leaves = leaf_set(t)
     r = steiner_domination(pa)
     assert r.leaves == leaves
-    core = r.core
-    from_tree = {v: h for h, v in enumerate(core.to_tree, start=1)}
     excluded = set(closed_neighborhood(t, leaves))
-    assert core.to_tree == tuple(v for v in range(1, n + 1) if v not in excluded)
-    assert core.m == len(core.to_tree)
-    assert list(core.to_tree) == sorted(core.to_tree)
-    for h, tree_label in enumerate(core.to_tree, start=1):
+    core, labels = induced_forest(t, [v for v in range(1, n + 1) if v not in excluded])
+    assert r.core.to_tree == labels
+    assert r.core.m == core.n == len(labels)
+    for h, tree_label in enumerate(labels, start=1):
         tp = t.parent[tree_label - 1]
-        expected = from_tree.get(tp, 0)
-        assert core.parents.parent[h - 1] == expected
-        assert core.parents.parent[h - 1] < h
+        expected = labels.index(tp) + 1 if tp in labels else 0
+        assert core.parent[h - 1] == expected < h
+    plain = forest_domination(ParentArray(core.n, core.parent))
+    assert r.core_dominating_set == tuple(labels[h - 1] for h in plain)
 
 
 class TestSteinerDomination:
@@ -141,7 +150,7 @@ class TestSteinerDomination:
         r = steiner_domination(pa)
         t = build_adjacency(pa)
         assert r.size == len(leaf_set(t)) + domination_number_dp(
-            build_adjacency(r.core.parents)
+            induced_forest(t, r.core.to_tree)[0]
         )
 
 

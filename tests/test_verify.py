@@ -1,5 +1,6 @@
 """Audit harness: per-instance audits, reports, certificates, revalidation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -18,6 +19,8 @@ from steinerdom import (
     run_verify,
     write_certificate,
 )
+from steinerdom import verify
+from steinerdom.steiner_domination import CoreForest
 
 P5 = ParentArray(5, (0, 1, 1, 3, 4))
 GADGET_8 = fixture(AUDIT_FIXTURE)
@@ -57,6 +60,28 @@ class TestAuditInstance:
         assert audit.oracle_size is None
         assert audit.certificate is None
         assert audit.validity_ok and audit.optimality_ok
+
+
+class TestAuditChecksTheCore:
+    # P8's core is 3-4-5-6, a path whose forest pass returns (3, 5)
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(core=CoreForest(3, (4, 5, 6))),  # a core vertex missing
+            dict(core_dominating_set=(3, 4, 5)),  # larger than the minimum
+            dict(core_dominating_set=(3, 4)),  # minimum size, misses 6
+        ],
+    )
+    def test_wrong_core_fails_optimality(self, monkeypatch, changes):
+        solver = verify.steiner_domination
+        monkeypatch.setattr(
+            verify,
+            "steiner_domination",
+            lambda pa: dataclasses.replace(solver(pa), **changes),
+        )
+        pa = ParentArray(8, (0, 1, 2, 3, 4, 5, 6, 7))
+        assert solver(pa).core_dominating_set == (3, 5)
+        assert not audit_instance(pa).optimality_ok
 
 
 class TestRunVerifyExhaustive:
