@@ -2,13 +2,8 @@
 trees, in linear time, with independent exact oracles and an audit harness
 for the size formula leaf_count + core domination number."""
 
-from .bench import (
-    DEFAULT_SIZES,
-    consecutive_ratios,
-    linearity_gate,
-    run_bench,
-    write_csv,
-)
+from importlib import import_module
+
 from .corpus import (
     FIXTURES,
     GeneratorSpec,
@@ -18,20 +13,6 @@ from .corpus import (
     random_prufer_edges,
 )
 from .forest_domination import LabelState, forest_domination
-from .oracles import (
-    CapExceededError,
-    OracleCaps,
-    SteinerTreeSpan,
-    domination_number_dp,
-    induced_forest,
-    is_dominating_set,
-    is_steiner_set,
-    min_dominating_set,
-    min_steiner_dominating_set,
-    steiner_distance,
-    steiner_number,
-    steiner_subtree,
-)
 from .steiner_domination import steiner_domination
 from .tree_model import (
     EdgeList,
@@ -49,16 +30,37 @@ from .tree_model import (
     to_edge_list,
     validate,
 )
-from .verify import (
-    AUDIT_FIXTURE,
-    DiscrepancyCertificate,
-    WitnessChecks,
-    audit_instance,
-    make_certificate,
-    revalidate_certificate,
-    run_verify,
-    write_certificate,
-)
+
+# The benchmark and the audit, with the oracles, load on first use of one
+# of their names (PEP 562), so that importing the package for the solver
+# does not also import statistics, tracemalloc and the oracles.
+_LAZY = {
+    "bench": "DEFAULT_SIZES consecutive_ratios linearity_gate run_bench write_csv",
+    "oracles": (
+        "CapExceededError OracleCaps SteinerTreeSpan domination_number_dp "
+        "induced_forest is_dominating_set is_steiner_set min_dominating_set "
+        "min_steiner_dominating_set steiner_distance steiner_number steiner_subtree"
+    ),
+    "verify": (
+        "AUDIT_FIXTURE DiscrepancyCertificate WitnessChecks audit_instance "
+        "make_certificate revalidate_certificate run_verify write_certificate"
+    ),
+}
+_LAZY_MODULE = {name: mod for mod, names in _LAZY.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -12,10 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import DEFAULT_SEED, DEFAULT_SIZES, linearity_gate, run_bench, write_csv
 from .corpus import FAMILIES, GeneratorSpec, gen
 from .forest_domination import forest_domination
-from .oracles import CapExceededError
 from .steiner_domination import steiner_domination
 from .tree_model import (
     ParseError,
@@ -27,7 +25,6 @@ from .tree_model import (
     position_line,
     relabel_bfs,
 )
-from .verify import run_verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,9 +86,10 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("bench", help="time both passes and write a CSV")
-    p.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES))
+    # --sizes and --seed default to bench's own defaults, filled in by _cmd_bench
+    p.add_argument("--sizes", type=int, nargs="+")
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="bench.csv", help="CSV output path")
 
     return parser
@@ -213,20 +211,26 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracles import CapExceededError
+
     if args.cert_dir is not None:
         cert_dir = Path(args.cert_dir)
     elif args.report is not None:
         cert_dir = Path(args.report).resolve().parent / "certificates"
     else:
         cert_dir = Path("certificates")
-    report = run_verify(
-        mode=args.mode,
-        max_n=args.max_n,
-        count=args.count,
-        seed=args.seed,
-        report_path=args.report,
-        cert_dir=cert_dir,
-    )
+    try:
+        # through the module attribute, which __getattr__ below fills in
+        report = sys.modules[__name__].run_verify(
+            mode=args.mode,
+            max_n=args.max_n,
+            count=args.count,
+            seed=args.seed,
+            report_path=args.report,
+            cert_dir=cert_dir,
+        )
+    except CapExceededError as exc:
+        raise TreeModelError(str(exc)) from None
     print(f"mode: {report.mode}  max_n: {report.max_n}", end="")
     if report.mode == "random":
         print(f"  count: {report.count}  seed: {report.seed}")
@@ -247,7 +251,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    records = run_bench(sizes=args.sizes, reps=args.reps, seed=args.seed)
+    from .bench import DEFAULT_SEED, DEFAULT_SIZES, linearity_gate, run_bench, write_csv
+
+    records = run_bench(
+        sizes=DEFAULT_SIZES if args.sizes is None else args.sizes,
+        reps=args.reps,
+        seed=DEFAULT_SEED if args.seed is None else args.seed,
+    )
     write_csv(records, args.out)
     for rec in records:
         print(
@@ -260,6 +270,15 @@ def _cmd_bench(args) -> int:
         print(line)
     print(f"csv written to {args.out}")
     return 0
+
+
+def __getattr__(name: str):
+    # cli.run_verify loads verify, and the oracles behind it, on first use
+    if name == "run_verify":
+        from .verify import run_verify
+
+        return run_verify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _COMMANDS = {
@@ -275,7 +294,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TreeModelError, CapExceededError) as exc:
+    except TreeModelError as exc:
         print(f"steinerdom {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -71,7 +71,7 @@ def _spider_edges(legs: int, leg_length: int) -> EdgeList:
             edges.append((prev, nxt) if prev < nxt else (nxt, prev))
             prev = nxt
             nxt += 1
-    return EdgeList(n, tuple(edges))
+    return EdgeList._trusted(n, tuple(edges))
 
 
 def _caterpillar_edges(spine: int, pattern: tuple[int, ...]) -> EdgeList:
@@ -82,7 +82,7 @@ def _caterpillar_edges(spine: int, pattern: tuple[int, ...]) -> EdgeList:
         for _ in range(pattern[i % len(pattern)]):
             edges.append((i + 1, nxt))
             nxt += 1
-    return EdgeList(n, tuple(edges))
+    return EdgeList._trusted(n, tuple(edges))
 
 
 def _prufer_to_edges(n: int, seq: list[int]) -> EdgeList:
@@ -106,7 +106,7 @@ def _prufer_to_edges(n: int, seq: list[int]) -> EdgeList:
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n))
-    return EdgeList(n, tuple(edges))
+    return EdgeList._trusted(n, tuple(edges))
 
 
 def random_prufer_edges(n: int, seed: int) -> EdgeList:

@@ -48,6 +48,8 @@ def forest_domination(
     flags = bytes(n + 1) if outside is None else outside
     if len(flags) != n + 1:
         raise ValidationError(f"outside has {len(flags)} flags, expected {n + 1}")
+    if flags.find(0, 1) < 0:  # no vertex inside: skip the O(n) passes below
+        return ()
     bound, required, free, out = map(int, LabelState)
     label = bytearray(flags.translate(_TO_LABEL))
     label[0] = out

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import not_
@@ -96,6 +95,15 @@ class EdgeList:
                     f"duplicate edge ({min(u, v)}, {max(u, v)})", pos
                 )
             seen.add(key)
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> EdgeList:
+        """An EdgeList built without the checks, for edges that are valid
+        by construction, such as a decoded Prüfer sequence's."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "n", n)
+        object.__setattr__(el, "edges", edges)
+        return el
 
 
 @dataclass(frozen=True)
@@ -264,10 +272,11 @@ def relabel_bfs(
     for u, v in edges.edges:
         adj[u].append(v)
         adj[v].append(u)
-    for nbrs in adj:
-        nbrs.sort()
+    any(map(list.sort, adj))  # sort returns None, so any() sorts every row
     if root is None:
-        root = max(range(1, n + 1), key=lambda v: (len(adj[v]), -v))
+        deg = list(map(len, adj))
+        # index() finds the smallest label; adj[0] belongs to no vertex
+        root = deg.index(max(deg), 1)
     elif not 1 <= root <= n:
         raise ValidationError(f"root {root} out of range 1..{n}")
 
@@ -275,15 +284,15 @@ def relabel_bfs(
     parent = [0] * n
     new_of[root] = 1
     assigned = 1
-    queue = deque([root])
-    while queue:
-        old = queue.popleft()
+    order = [root]  # the BFS queue: the loop walks it while it grows
+    for old in order:
+        p = new_of[old]
         for nbr in adj[old]:
-            if new_of[nbr] == 0:
+            if not new_of[nbr]:
                 assigned += 1
                 new_of[nbr] = assigned
-                parent[assigned - 1] = new_of[old]
-                queue.append(nbr)
+                parent[assigned - 1] = p
+                order.append(nbr)
     if assigned != n:
         pos = _first_cycle_edge(n, edges.edges)
         u, v = edges.edges[pos]

@@ -9,6 +9,7 @@ import pytest
 
 from steinerdom import (
     FIXTURES,
+    EdgeList,
     GeneratorSpec,
     ValidationError,
     build_adjacency,
@@ -21,7 +22,7 @@ from steinerdom import (
     relabel_bfs,
     validate,
 )
-from steinerdom.corpus import _prufer_to_edges
+from steinerdom.corpus import _caterpillar_edges, _prufer_to_edges, _spider_edges
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -196,6 +197,32 @@ class TestPruferDecode:
         sigma = math.sqrt(samples * (1 / trees) * (1 - 1 / trees))
         worst = max(abs(c - expected) for c in counts.values())
         assert worst <= 5 * sigma, f"worst deviation {worst:.1f} > 5 sigma {5*sigma:.1f}"
+
+
+class TestTrustedEdgeLists:
+    """The generators build their edge lists without EdgeList's checks;
+    the checked constructor must accept each one unchanged."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 2**64 - 1])
+    def test_prufer(self, seed):
+        for n in range(1, 61):
+            el = random_prufer_edges(n, seed)
+            assert EdgeList(el.n, el.edges) == el
+
+    def test_prufer_large(self):
+        el = random_prufer_edges(10**4, 5)
+        assert EdgeList(el.n, el.edges) == el
+
+    def test_spider(self):
+        for legs, leg_length in product(range(2, 6), range(1, 5)):
+            el = _spider_edges(legs, leg_length)
+            assert EdgeList(el.n, el.edges) == el
+
+    @pytest.mark.parametrize("pattern", [(0,), (1,), (2, 0, 3)])
+    def test_caterpillar(self, pattern):
+        for spine in range(1, 7):
+            el = _caterpillar_edges(spine, pattern)
+            assert EdgeList(el.n, el.edges) == el
 
 
 class TestFixture:

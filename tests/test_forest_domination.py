@@ -108,6 +108,12 @@ class TestOutside:
         flags = bytes([1, 0, 0, 0, 1, 0])
         assert forest_domination(path_array(5), outside=flags) == (2, 5)
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_every_vertex_flagged_gives_the_empty_set(self, n):
+        trace = []
+        assert forest_domination(star_array(n), trace, outside=b"\1" * (n + 1)) == ()
+        assert trace == []
+
     def test_flag_count_must_be_n_plus_one(self):
         with pytest.raises(ValidationError):
             forest_domination(path_array(5), outside=bytes(5))

@@ -1,5 +1,9 @@
 """Data model: parsing, validation, relabeling, neighborhood primitives."""
 
+from collections import deque
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -234,6 +238,72 @@ class TestRelabelBfs:
     def test_deterministic(self, pa):
         el = to_edge_list(pa)
         assert relabel_bfs(el) == relabel_bfs(el)
+
+
+def _reference_relabel(n, edges):
+    """relabel_bfs by its definition: BFS from the smallest vertex of
+    maximum degree, neighbours in ascending label order.  A graph the BFS
+    cannot span raises with the position of the first edge whose ends the
+    edges before it already connect."""
+    nbrs = {v: [] for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    root = max(range(1, n + 1), key=lambda v: (len(nbrs[v]), -v))
+    new = {root: 1}
+    parent = [0]
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(nbrs[u]):
+            if v not in new:
+                new[v] = len(new) + 1
+                parent.append(new[u])
+                queue.append(v)
+    if len(new) == n:
+        return ParentArray(n, tuple(parent)), tuple(new[v] for v in range(1, n + 1))
+    for pos, (u, v) in enumerate(edges):
+        reached, todo = {u}, [u]
+        while todo:
+            w = todo.pop()
+            for a, b in edges[:pos]:
+                for x, y in ((a, b), (b, a)):
+                    if x == w and y not in reached:
+                        reached.add(y)
+                        todo.append(y)
+        if v in reached:
+            raise ValidationError("cycle", pos)
+    raise AssertionError("n - 1 edges that span no tree close a cycle")
+
+
+def _outcome(relabel, n, edges):
+    try:
+        return relabel(n, edges)
+    except ValidationError as exc:
+        return exc.position
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_relabel_bfs_against_reference_exhaustive(n):
+    """Every simple graph with n - 1 edges on n <= 7 vertices, its edges in
+    list order and reversed: relabel_bfs gives the reference's result, or
+    fails at the reference's edge."""
+    cases = 0
+    for chosen in combinations(combinations(range(1, n + 1), 2), n - 1):
+        for edges in (chosen, chosen[::-1]):
+            expected = _outcome(_reference_relabel, n, edges)
+            got = _outcome(lambda n, e: relabel_bfs(EdgeList(n, e)), n, edges)
+            assert got == expected, edges
+            cases += 1
+    assert cases == 2 * comb(n * (n - 1) // 2, n - 1)
+
+
+def test_relabel_bfs_names_the_triangle_beside_an_edge():
+    # 3 edges close the triangle 1-2-3, so vertices 4 and 5 stay unreached
+    edges = ((1, 2), (2, 3), (3, 1), (4, 5))
+    with pytest.raises(ValidationError) as info:
+        relabel_bfs(EdgeList(5, edges))
+    assert info.value.position == 2 == _outcome(_reference_relabel, 5, edges)
 
 
 class TestValidate:
