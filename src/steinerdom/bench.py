@@ -23,7 +23,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .corpus import GeneratorSpec, gen
 from .forest_domination import forest_domination
@@ -41,64 +41,39 @@ MEMORY_RATIO_LIMIT = 12.0
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One (size, algorithm) measurement.
-
-    checksum folds the output sizes of every repetition into the record so
-    the measured calls cannot be optimized away or silently skipped;
-    peak_bytes is tracemalloc's high-water mark for one run.
-    """
+    """One (size, algorithm) measurement; peak_bytes is tracemalloc's
+    high-water mark for one run."""
 
     n: int
     algorithm: str
     ns_total_median: int
     ns_per_vertex: float
-    repetitions: int
-    checksum: int
     peak_bytes: int
 
-    def __post_init__(self) -> None:
-        if self.repetitions < 3:
-            raise ValidationError(
-                f"repetitions must be >= 3, got {self.repetitions}"
-            )
-        if self.algorithm not in ALGORITHMS:
-            raise ValidationError(f"unknown algorithm {self.algorithm!r}")
 
-
-def _output_size(algorithm: str, parents: ParentArray) -> int:
-    if algorithm == "forest_dom":
-        return len(forest_domination(parents))
-    return steiner_domination(parents).size
-
-
-def _measure(
-    algorithm: str, parents: ParentArray, reps: int
-) -> tuple[int, int, int]:
-    """(median ns, checksum, peak bytes) over reps timed runs plus one
-    memory run."""
-    call: Callable[[], int] = lambda: _output_size(algorithm, parents)
-    call()  # warm caches and any lazy allocation before timing
+def _measure(algorithm: str, parents: ParentArray, reps: int) -> tuple[int, int]:
+    """(median ns, peak bytes) over reps timed runs plus one memory run."""
+    solve = forest_domination if algorithm == "forest_dom" else steiner_domination
+    solve(parents)  # warm caches and any lazy allocation before timing
     times = []
-    checksum = 0
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(reps):
             t0 = time.perf_counter_ns()
-            out = call()
+            solve(parents)
             t1 = time.perf_counter_ns()
             times.append(t1 - t0)
-            checksum += out
     finally:
         if gc_was_enabled:
             gc.enable()
     tracemalloc.start()
     try:
-        call()
+        solve(parents)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return int(statistics.median(times)), checksum, peak
+    return int(statistics.median(times)), peak
 
 
 def run_bench(
@@ -119,15 +94,13 @@ def run_bench(
     for n in sizes:
         parents = gen(GeneratorSpec("prufer", n=n, seed=seed))
         for algorithm in ALGORITHMS:
-            median_ns, checksum, peak = _measure(algorithm, parents, reps)
+            median_ns, peak = _measure(algorithm, parents, reps)
             records.append(
                 BenchRecord(
                     n=n,
                     algorithm=algorithm,
                     ns_total_median=median_ns,
                     ns_per_vertex=round(median_ns / n, 3),
-                    repetitions=reps,
-                    checksum=checksum,
                     peak_bytes=peak,
                 )
             )

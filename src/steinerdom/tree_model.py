@@ -326,17 +326,13 @@ def _first_cycle_edge(n: int, edges: tuple[tuple[int, int], ...]) -> int:
     raise AssertionError("n - 1 acyclic edges on n vertices connect them all")
 
 
-def validate(parents: ParentArray, mode: str = "tree") -> tuple[int, ...]:
-    """Check root structure: exactly one root in tree mode, any number in
-    forest mode.  Returns the root labels.
+def validate(parents: ParentArray) -> tuple[int, ...]:
+    """Check that the forest is a single tree: exactly one root.  Returns
+    the root labels, ``(1,)``.
 
-    A second root in tree mode is reported with the position of its parent
-    entry, so that a caller holding the file can name its line.
+    A second root is reported with the position of its parent entry, so
+    that a caller holding the file can name its line.
     """
-    if mode not in ("tree", "forest"):
-        raise ValueError(f"mode must be 'tree' or 'forest', got {mode!r}")
-    if mode == "forest":
-        return parents.roots()
     # parent < vertex makes vertex 1 a root whenever n >= 1
     if parents.parent.count(0) == 1:
         return (1,)

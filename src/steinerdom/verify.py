@@ -3,7 +3,7 @@
 For every instance the harness checks three layers:
 
   (a) validity: the emitted Steiner dominating set contains every leaf,
-      spans the tree, and dominates it;
+      repeats no vertex, spans the tree, and dominates it;
   (b) minimum-domination agreement: the core is the forest induced
       outside N[leaves], and the solver's set for it and the forest pass on
       the whole instance match the DP and, within its cap, enumeration;
@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import FIXTURES, GeneratorSpec, enumerate_parent_arrays, gen
+from .corpus import ENUMERATION_MAX_N, FIXTURES, GeneratorSpec, enumerate_parent_arrays, gen
 from .forest_domination import forest_domination
 from .oracles import (
     DEFAULT_CAPS,
@@ -43,6 +43,7 @@ from .oracles import (
 )
 from .steiner_domination import steiner_domination
 from .tree_model import (
+    AdjacencyTree,
     ParentArray,
     ValidationError,
     build_adjacency,
@@ -53,7 +54,6 @@ from .tree_model import (
 )
 
 AUDIT_FIXTURE = "theorem1-audit-8"
-EXHAUSTIVE_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -154,33 +154,52 @@ def revalidate_certificate(
     Recomputes the construction side, re-runs both witness checks, and,
     when the instance is small enough for the enumeration oracle, confirms
     the claimed oracle size really is the minimum.  Raises ValidationError
-    on any mismatch with the sidecar.
+    on any mismatch with the sidecar, a missing or mistyped field included.
     """
     parents = parse_parent_file(Path(par_path).read_text())
     data = json.loads(Path(json_path).read_text())
-    if data["n"] != parents.n or tuple(data["instance"]) != parents.parent:
+    n = _sidecar_field(data, "n", int)
+    instance = _sidecar_field(data, "instance", list)
+    algorithm_size = _sidecar_field(data, "algorithm_size", int)
+    oracle_size = _sidecar_field(data, "oracle_size", int)
+    witness = _sidecar_field(data, "oracle_witness", list)
+    if n != parents.n or instance != parents.parent:
         raise ValidationError("sidecar instance does not match the .par file")
-    algorithm_size = steiner_domination(parents).size
-    if algorithm_size != data["algorithm_size"]:
+    recomputed = steiner_domination(parents).size
+    if recomputed != algorithm_size:
         raise ValidationError(
-            f"recomputed construction size {algorithm_size} != recorded "
-            f"{data['algorithm_size']}"
+            f"recomputed construction size {recomputed} != recorded {algorithm_size}"
         )
-    witness = tuple(data["oracle_witness"])
-    cert = make_certificate(parents, algorithm_size, data["oracle_size"], witness)
-    if parents.n <= caps.steiner_dominating:
-        exact, _ = min_steiner_dominating_set(build_adjacency(parents), caps=caps)
-    elif parents.n <= caps.steiner_dominating_pruned:
-        exact, _ = min_steiner_dominating_set(
-            build_adjacency(parents), prune=True, caps=caps
-        )
-    else:
-        return cert
-    if exact != cert.oracle_size:
+    cert = make_certificate(parents, algorithm_size, oracle_size, witness)
+    exact = _exact_steiner(build_adjacency(parents), caps)
+    if exact is not None and exact[0] != oracle_size:
         raise ValidationError(
-            f"recorded oracle size {cert.oracle_size} but enumeration finds {exact}"
+            f"recorded oracle size {oracle_size} but enumeration finds {exact[0]}"
         )
     return cert
+
+
+def _sidecar_field(data: object, key: str, kind: type) -> int | tuple[int, ...]:
+    """A sidecar's integer field, or its list of integers as a tuple; a
+    missing or mistyped field is a ValidationError that names it."""
+    value = data.get(key) if isinstance(data, dict) else None
+    items = value if kind is list and isinstance(value, list) else [value]
+    if not isinstance(value, kind) or any(type(x) is not int for x in items):
+        noun = "a list of integers" if kind is list else "an integer"
+        raise ValidationError(f"sidecar field {key!r} must be {noun}, got {value!r}")
+    return tuple(value) if kind is list else value
+
+
+def _exact_steiner(
+    t: AdjacencyTree, caps: OracleCaps
+) -> tuple[int, tuple[int, ...]] | None:
+    """The enumeration oracle's (size, witness): unpruned within its cap,
+    pruned within the larger one, None beyond both."""
+    if t.n <= caps.steiner_dominating:
+        return min_steiner_dominating_set(t, caps=caps)
+    if t.n <= caps.steiner_dominating_pruned:
+        return min_steiner_dominating_set(t, prune=True, caps=caps)
+    return None
 
 
 @dataclass(frozen=True)
@@ -206,7 +225,7 @@ def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> Ins
         set(res.leaves) <= set(sd)
         and is_steiner_set(t, sd)
         and is_dominating_set(t, sd)
-        and res.size == len(sd) == res.formula_value
+        and len(set(sd)) == len(sd) == res.size
     )
 
     nl = set(closed_neighborhood(t, leaf_set(t)))
@@ -232,14 +251,11 @@ def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> Ins
         optimality_ok = len(whole) == min_dominating_set(t, caps)[0]
 
     oracle_size: int | None = None
-    witness: tuple[int, ...] = ()
     certificate: DiscrepancyCertificate | None = None
     internal_error: str | None = None
-    if parents.n <= caps.steiner_dominating:
-        oracle_size, witness = min_steiner_dominating_set(t, caps=caps)
-    elif parents.n <= caps.steiner_dominating_pruned:
-        oracle_size, witness = min_steiner_dominating_set(t, prune=True, caps=caps)
-    if oracle_size is not None:
+    exact = _exact_steiner(t, caps)
+    if exact is not None:
+        oracle_size, witness = exact
         if oracle_size < res.size:
             certificate = make_certificate(parents, res.size, oracle_size, witness)
         elif oracle_size > res.size:
@@ -344,9 +360,9 @@ def run_verify(
     if mode not in ("exhaustive", "random"):
         raise ValidationError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     if mode == "exhaustive":
-        if not 2 <= max_n <= EXHAUSTIVE_MAX_N:
+        if not 2 <= max_n <= ENUMERATION_MAX_N:
             raise ValidationError(
-                f"exhaustive mode needs 2 <= max_n <= {EXHAUSTIVE_MAX_N}, got {max_n}"
+                f"exhaustive mode needs 2 <= max_n <= {ENUMERATION_MAX_N}, got {max_n}"
             )
         count = 0  # exhaustive runs ignore the sample count
     else:

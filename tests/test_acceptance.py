@@ -32,6 +32,7 @@ from steinerdom import (
     steiner_domination,
     steiner_number,
 )
+from steinerdom.bench import MEMORY_RATIO_LIMIT, TIME_RATIO_LIMIT
 
 pytestmark = pytest.mark.acceptance
 
@@ -218,13 +219,14 @@ def test_6_linear_scaling(capsys):
     mem_ratios = consecutive_ratios(records, "peak_bytes")
     worst_time = max(r for *_, r in time_ratios)
     worst_mem = max(r for *_, r in mem_ratios)
-    ok = worst_time <= 3.0 and worst_mem <= 12.0
+    ok = worst_time <= TIME_RATIO_LIMIT and worst_mem <= MEMORY_RATIO_LIMIT
     _report(
         capsys,
         6,
         ok,
         f"n in {{1e4,1e5,1e6}}: worst ns/vertex decade ratio {worst_time:.2f} "
-        f"(<= 3), worst peak-memory decade ratio {worst_mem:.2f} (<= 12) "
+        f"(<= {TIME_RATIO_LIMIT:g}), worst peak-memory decade ratio {worst_mem:.2f} "
+        f"(<= {MEMORY_RATIO_LIMIT:g}) "
         f"({time.perf_counter() - t0:.1f}s)",
     )
 

@@ -306,7 +306,7 @@ class TestBench:
     def test_gate_flags_each_breach(self):
         def rec(n, algorithm, ns_per_vertex, peak_bytes):
             ns_total = int(ns_per_vertex * n)
-            return BenchRecord(n, algorithm, ns_total, ns_per_vertex, 3, 0, peak_bytes)
+            return BenchRecord(n, algorithm, ns_total, ns_per_vertex, peak_bytes)
 
         records = [
             rec(10, "forest_dom", 1.0, 100),

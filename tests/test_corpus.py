@@ -109,7 +109,7 @@ class TestGen:
     )
     def test_every_family_yields_a_valid_tree(self, spec):
         pa = gen(spec)
-        assert len(validate(pa, "tree")) == 1
+        assert len(validate(pa)) == 1
 
 
 class TestEnumeration:
@@ -146,9 +146,9 @@ class TestEnumeration:
 
     def test_every_emitted_array_validates(self):
         for pa in enumerate_parent_arrays(5, "forests"):
-            validate(pa, "forest")
+            pa.roots()
         for pa in enumerate_parent_arrays(5, "trees"):
-            validate(pa, "tree")
+            validate(pa)
 
     def test_cap(self):
         with pytest.raises(ValidationError):
@@ -172,7 +172,7 @@ class TestPruferDecode:
         for seq in product(range(1, n + 1), repeat=n - 2):
             el = _prufer_to_edges(n, list(seq))
             assert len(el.edges) == n - 1
-            assert len(validate(relabel_bfs(el)[0], "tree")) == 1
+            assert len(validate(relabel_bfs(el)[0])) == 1
             seen.add(frozenset(el.edges))
         assert len(seen) == n ** (n - 2)
 

@@ -42,6 +42,8 @@ def test_gen_and_solve_load_no_audit_or_bench_code(tmp_path):
         loaded = _imports(argv, tmp_path)
         assert "steinerdom.steiner_domination" in loaded, argv
         assert not loaded & AUDIT_AND_BENCH, argv
+        # only the --json form loads json, which makes it the positive control
+        assert ("json" in loaded) == ("--json" in argv), argv
     # the probe sees the modules a command does load
     loaded = _imports(["verify", "--mode", "exhaustive", "--max-n", "2"], tmp_path)
     assert {"steinerdom.verify", "steinerdom.oracles"} <= loaded

@@ -308,38 +308,34 @@ def test_relabel_bfs_names_the_triangle_beside_an_edge():
 
 class TestValidate:
     def test_tree_accepts_single_root(self):
-        assert validate(path_array(3), "tree") == (1,)
+        assert validate(path_array(3)) == (1,)
 
     def test_tree_rejects_forest(self):
         with pytest.raises(ValidationError):
-            validate(ParentArray(3, (0, 0, 1)), "tree")
+            validate(ParentArray(3, (0, 0, 1)))
 
     def test_second_root_is_named_with_its_entry(self):
         with pytest.raises(ValidationError, match="vertex 3 is a second root") as info:
-            validate(ParentArray(5, (0, 1, 0, 3, 0)), "tree")
+            validate(ParentArray(5, (0, 1, 0, 3, 0)))
         assert info.value.position == 2
 
     def test_empty_forest_is_not_a_tree(self):
         with pytest.raises(ValidationError, match="found 0") as info:
-            validate(ParentArray(0, ()), "tree")
+            validate(ParentArray(0, ()))
         assert info.value.position is None
 
     @given(forest_arrays(max_n=12))
     def test_roots_are_the_zero_entries(self, pa):
         roots = tuple(i + 1 for i, p in enumerate(pa.parent) if p == 0)
-        assert pa.roots() == roots == validate(pa, "forest")
+        assert pa.roots() == roots
         if len(roots) == 1:
-            assert validate(pa, "tree") == roots
+            assert validate(pa) == roots
         else:
             with pytest.raises(ValidationError):
-                validate(pa, "tree")
+                validate(pa)
 
     def test_forest_accepts_many_roots(self):
-        assert validate(ParentArray(3, (0, 0, 0)), "forest") == (1, 2, 3)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            validate(path_array(2), "graph")
+        assert ParentArray(3, (0, 0, 0)).roots() == (1, 2, 3)
 
 
 class TestLeafSet:

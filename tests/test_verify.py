@@ -35,6 +35,8 @@ GADGET_16_WITNESS = (1, 2, 7, 8, 9, 10, 15, 16)
 GADGET_16_PADDED = (1, 2, 3, 7, 8, 9, 10, 15, 16)
 # caps that route the 16-vertex instance to the fast pruned oracle
 GADGET_16_CAPS = OracleCaps(steiner_dominating=8, steiner_dominating_pruned=16)
+# marks a sidecar field to delete rather than overwrite
+_MISSING = object()
 
 
 class TestAuditInstance:
@@ -82,6 +84,23 @@ class TestAuditChecksTheCore:
         pa = ParentArray(8, (0, 1, 2, 3, 4, 5, 6, 7))
         assert solver(pa).core_dominating_set == (3, 5)
         assert not audit_instance(pa).optimality_ok
+
+
+class TestAuditChecksTheSet:
+    # P5's set is (2, 3, 5); leaf 2 returned twice fails validity, whether
+    # or not size counts the repeat
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_repeated_leaf_fails_validity(self, monkeypatch, size):
+        solver = verify.steiner_domination
+        monkeypatch.setattr(
+            verify,
+            "steiner_domination",
+            lambda pa: dataclasses.replace(
+                solver(pa), steiner_dominating_set=(2, 2, 3, 5), size=size
+            ),
+        )
+        assert solver(P5).steiner_dominating_set == (2, 3, 5)
+        assert not audit_instance(P5).validity_ok
 
 
 class TestRunVerifyExhaustive:
@@ -228,6 +247,28 @@ class TestRevalidation:
         par, sidecar = self._write(tmp_path, cert)
         self._tamper(sidecar, "oracle_witness", [1, 2, 3, 8])
         with pytest.raises(ValidationError, match="definitional check"):
+            revalidate_certificate(par, sidecar)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", _MISSING),
+            ("oracle_witness", _MISSING),
+            ("instance", None),
+            ("oracle_size", "4"),
+            ("oracle_witness", [1, 2, "7", 8]),
+        ],
+    )
+    def test_malformed_field_is_named(self, tmp_path, key, value):
+        cert = make_certificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        par, sidecar = self._write(tmp_path, cert)
+        data = json.loads(sidecar.read_text())
+        if value is _MISSING:
+            del data[key]
+        else:
+            data[key] = value
+        sidecar.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=f"sidecar field '{key}'"):
             revalidate_certificate(par, sidecar)
 
     def test_recorded_size_must_be_the_minimum(self, tmp_path):
