@@ -42,8 +42,8 @@ _LAZY = {
         "min_steiner_dominating_set steiner_distance steiner_number steiner_subtree"
     ),
     "verify": (
-        "AUDIT_FIXTURE DiscrepancyCertificate WitnessChecks audit_instance "
-        "make_certificate revalidate_certificate run_verify write_certificate"
+        "AUDIT_FIXTURE DiscrepancyCertificate audit_instance "
+        "revalidate_certificate run_verify write_certificate"
     ),
 }
 _LAZY_MODULE = {name: mod for mod, names in _LAZY.items() for name in names.split()}
@@ -79,7 +79,6 @@ __all__ = [
     "SteinerTreeSpan",
     "TreeModelError",
     "ValidationError",
-    "WitnessChecks",
     "audit_instance",
     "build_adjacency",
     "closed_neighborhood",
@@ -95,7 +94,6 @@ __all__ = [
     "is_steiner_set",
     "leaf_set",
     "linearity_gate",
-    "make_certificate",
     "min_dominating_set",
     "min_steiner_dominating_set",
     "parse_edge_list",

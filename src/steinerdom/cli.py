@@ -214,26 +214,21 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .oracles import CapExceededError
-
     if args.cert_dir is not None:
         cert_dir = Path(args.cert_dir)
     elif args.report is not None:
         cert_dir = Path(args.report).resolve().parent / "certificates"
     else:
         cert_dir = Path("certificates")
-    try:
-        # through the module attribute, which __getattr__ below fills in
-        report = sys.modules[__name__].run_verify(
-            mode=args.mode,
-            max_n=args.max_n,
-            count=args.count,
-            seed=args.seed,
-            report_path=args.report,
-            cert_dir=cert_dir,
-        )
-    except CapExceededError as exc:
-        raise TreeModelError(str(exc)) from None
+    # through the module attribute, which __getattr__ below fills in
+    report = sys.modules[__name__].run_verify(
+        mode=args.mode,
+        max_n=args.max_n,
+        count=args.count,
+        seed=args.seed,
+        report_path=args.report,
+        cert_dir=cert_dir,
+    )
     print(f"mode: {report.mode}  max_n: {report.max_n}", end="")
     if report.mode == "random":
         print(f"  count: {report.count}  seed: {report.seed}")

@@ -190,7 +190,7 @@ def enumerate_parent_arrays(n: int, mode: str = "trees") -> Iterator[ParentArray
     because the streams are factorial.
     """
     if mode not in ("trees", "forests"):
-        raise ValueError(f"mode must be 'trees' or 'forests', got {mode!r}")
+        raise ValidationError(f"mode must be 'trees' or 'forests', got {mode!r}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if n > ENUMERATION_MAX_N:

@@ -5,6 +5,10 @@ iterative pruning, dominating sets by subset enumeration or an independent
 dynamic program, Steiner sets by actually computing the span.  None of it
 shares logic with the linear labeling passes it is used to check.
 
+The public functions check their arguments on entry, with tree_model's
+single-tree and vertex-range checks; the enumerations then test their
+candidates, valid by construction, without checking them again.
+
 Subset enumeration visits candidates in increasing size, then
 lexicographic order, so returned witnesses are deterministic.  Size caps
 keep the exponential searches at desk scale; they are configuration, not
@@ -20,13 +24,17 @@ from itertools import combinations
 from .tree_model import (
     AdjacencyTree,
     ParentArray,
+    TreeModelError,
     ValidationError,
+    _check_vertices,
     build_adjacency,
+    closed_neighborhood,
     leaf_set,
+    validate,
 )
 
 
-class CapExceededError(ValueError):
+class CapExceededError(TreeModelError):
     """Instance larger than the enumeration cap for the requested oracle."""
 
 
@@ -51,26 +59,16 @@ class SteinerTreeSpan:
     edge_count: int
 
 
-def _single_root(t: AdjacencyTree) -> None:
-    if sum(1 for p in t.parent if p == 0) != 1:
-        raise ValidationError("operation requires a single tree")
-
-
 def _prune_to_span(t: AdjacencyTree, w: tuple[int, ...]) -> tuple[bytearray, int]:
     """Iteratively delete degree-1 vertices outside the terminal set w.
 
-    Returns (alive flags indexed 1..n, survivor count).  In a tree the
-    surviving vertices are exactly the unique minimal connected subgraph
-    containing the terminals.
+    Checks nothing: t must be a single tree and w a non-empty set of its
+    vertices, as the public callers establish once per call before they
+    enumerate candidates.  Returns (alive flags indexed 1..n, survivor
+    count).  In a tree the surviving vertices are exactly the unique
+    minimal connected subgraph containing the terminals.
     """
-    _single_root(t)
-    if not w:
-        raise ValidationError("terminal set must be non-empty")
-    terminals = set()
-    for v in w:
-        if not 1 <= v <= t.n:
-            raise ValidationError(f"vertex {v} out of range 1..{t.n}")
-        terminals.add(v)
+    terminals = set(w)
     n = t.n
     deg = list(t.degree)
     alive = bytearray(b"\1" * (n + 1))  # index 0 is no vertex and never read
@@ -95,6 +93,10 @@ def _prune_to_span(t: AdjacencyTree, w: tuple[int, ...]) -> tuple[bytearray, int
 
 def steiner_subtree(t: AdjacencyTree, w: tuple[int, ...]) -> SteinerTreeSpan:
     """Minimal subtree of t spanning the non-empty vertex set w."""
+    validate(t)
+    if not w:
+        raise ValidationError("terminal set must be non-empty")
+    _check_vertices(t.n, w)
     alive, survivors = _prune_to_span(t, w)
     vertices = tuple(v for v in range(1, t.n + 1) if alive[v])
     return SteinerTreeSpan(vertices=vertices, edge_count=survivors - 1)
@@ -107,22 +109,12 @@ def steiner_distance(t: AdjacencyTree, w: tuple[int, ...]) -> int:
 
 def is_steiner_set(t: AdjacencyTree, w: tuple[int, ...]) -> bool:
     """True iff the minimal subtree spanning w covers every vertex."""
-    return _prune_to_span(t, w)[1] == t.n
+    return len(steiner_subtree(t, w).vertices) == t.n
 
 
 def is_dominating_set(t: AdjacencyTree, s: tuple[int, ...]) -> bool:
     """True iff every vertex is in s or adjacent to a member of s."""
-    covered = bytearray(t.n + 1)
-    for v in s:
-        if not 1 <= v <= t.n:
-            raise ValidationError(f"vertex {v} out of range 1..{t.n}")
-        covered[v] = 1
-        p = t.parent[v - 1]
-        if p != 0:
-            covered[p] = 1
-        for c in t.children[v - 1]:
-            covered[c] = 1
-    return all(covered[v] for v in range(1, t.n + 1))
+    return len(closed_neighborhood(t, s)) == t.n
 
 
 def _closed_masks(t: AdjacencyTree) -> list[int]:
@@ -212,8 +204,7 @@ def induced_forest(
     keeps parent < vertex; one whose tree parent is left out is a root.
     """
     labels = tuple(sorted(set(vertices)))
-    if labels and not 1 <= labels[0] <= labels[-1] <= t.n:
-        raise ValidationError(f"vertices {labels[0]}..{labels[-1]} exceed 1..{t.n}")
+    _check_vertices(t.n, labels)
     new_label = {v: h for h, v in enumerate(labels, start=1)}
     parent = tuple(new_label.get(t.parent[v - 1], 0) for v in labels)
     return build_adjacency(ParentArray(len(labels), parent)), labels
@@ -230,7 +221,7 @@ def min_steiner_dominating_set(
     testable: it assumes nothing and checks every candidate against both
     definitions.
     """
-    _single_root(t)
+    validate(t)
     n = t.n
     cap = caps.steiner_dominating_pruned if prune else caps.steiner_dominating
     if n > cap:
@@ -253,7 +244,7 @@ def min_steiner_dominating_set(
                     cover |= masks[v - 1]
                 if cover == full:
                     w = tuple(sorted(base + combo))
-                    if is_steiner_set(t, w):
+                    if _prune_to_span(t, w)[1] == n:
                         return len(w), w
         raise AssertionError("the full vertex set is Steiner and dominating")
     for k in range(1, n + 1):
@@ -261,19 +252,19 @@ def min_steiner_dominating_set(
             cover = 0
             for v in combo:
                 cover |= masks[v - 1]
-            if cover == full and is_steiner_set(t, combo):
+            if cover == full and _prune_to_span(t, combo)[1] == n:
                 return k, combo
     raise AssertionError("the full vertex set is Steiner and dominating")
 
 
 def steiner_number(t: AdjacencyTree, caps: OracleCaps = DEFAULT_CAPS) -> int:
     """Smallest size of a Steiner set, by plain enumeration."""
-    _single_root(t)
+    validate(t)
     n = t.n
     if n > caps.steiner_number:
         raise CapExceededError(f"n={n} exceeds Steiner-number cap {caps.steiner_number}")
     for k in range(1, n + 1):
         for combo in combinations(range(1, n + 1), k):
-            if is_steiner_set(t, combo):
+            if _prune_to_span(t, combo)[1] == n:
                 return k
     raise AssertionError("the full vertex set is a Steiner set")

@@ -68,7 +68,12 @@ class ParentArray:
                 )
 
     def roots(self) -> tuple[int, ...]:
-        return tuple(compress(count(1), map(not_, self.parent)))
+        return _roots(self.parent)
+
+
+def _roots(parent: tuple[int, ...]) -> tuple[int, ...]:
+    """The labels whose parent entry is 0."""
+    return tuple(compress(count(1), map(not_, parent)))
 
 
 @dataclass(frozen=True)
@@ -326,17 +331,18 @@ def _first_cycle_edge(n: int, edges: tuple[tuple[int, int], ...]) -> int:
     raise AssertionError("n - 1 acyclic edges on n vertices connect them all")
 
 
-def validate(parents: ParentArray) -> tuple[int, ...]:
+def validate(parents: ParentArray | AdjacencyTree) -> tuple[int, ...]:
     """Check that the forest is a single tree: exactly one root.  Returns
     the root labels, ``(1,)``.
 
-    A second root is reported with the position of its parent entry, so
+    Reads only ``.parent``, so it checks an AdjacencyTree as well.  A
+    second root is reported with the position of its parent entry, so
     that a caller holding the file can name its line.
     """
     # parent < vertex makes vertex 1 a root whenever n >= 1
     if parents.parent.count(0) == 1:
         return (1,)
-    roots = parents.roots()
+    roots = _roots(parents.parent)
     # a forest file may hold a root per vertex; the message names a few
     shown = ", ".join(map(str, roots[:5])) + (", ..." if len(roots) > 5 else "")
     found = f"tree mode requires exactly one root, found {len(roots)}: [{shown}]"
@@ -370,21 +376,24 @@ def leaf_set(t: AdjacencyTree) -> tuple[int, ...]:
     any other end-vertex.  The single vertex of K1 is its own leaf by
     convention.
     """
-    roots = t.parent.count(0)
-    if roots != 1:
-        raise ValidationError(f"leaf_set needs a single tree, found {roots} roots")
+    validate(t)
     if t.n == 1:
         return (1,)
     return tuple(v + 1 for v in range(t.n) if t.degree[v] == 1)
 
 
+def _check_vertices(n: int, vertices: tuple[int, ...]) -> None:
+    """Raise ValidationError for the first of ``vertices`` outside 1..n."""
+    for v in vertices:
+        if not 1 <= v <= n:
+            raise ValidationError(f"vertex {v} out of range 1..{n}")
+
+
 def closed_neighborhood(t: AdjacencyTree, s: tuple[int, ...]) -> tuple[int, ...]:
     """N[S]: the members of s together with every adjacent vertex."""
-    covered = set()
+    _check_vertices(t.n, s)
+    covered = set(s)
     for v in s:
-        if not 1 <= v <= t.n:
-            raise ValidationError(f"vertex {v} out of range 1..{t.n}")
-        covered.add(v)
         covered.update(t.children[v - 1])
         p = t.parent[v - 1]
         if p != 0:

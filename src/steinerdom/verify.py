@@ -57,28 +57,20 @@ AUDIT_FIXTURE = "theorem1-audit-8"
 
 
 @dataclass(frozen=True)
-class WitnessChecks:
-    """Outcome of re-running both definitions against the oracle witness."""
-
-    steiner: bool
-    dominating: bool
-
-
-@dataclass(frozen=True)
 class DiscrepancyCertificate:
     """Proof that the construction overshoots on one instance.
 
     Carries the instance, both sizes, and a witness set strictly smaller
-    than the construction's output that passed both definitional checks.
-    Construction refuses inconsistent contents, so an in-memory
-    certificate is always self-consistent.
+    than the construction's output.  Construction re-runs both definitions,
+    is_steiner_set and is_dominating_set, on the witness and refuses
+    inconsistent contents, so an in-memory certificate is always
+    self-consistent.
     """
 
     instance: ParentArray
     algorithm_size: int
     oracle_size: int
     oracle_witness: tuple[int, ...]
-    checks: WitnessChecks
 
     def __post_init__(self) -> None:
         if not self.oracle_size < self.algorithm_size:
@@ -91,29 +83,10 @@ class DiscrepancyCertificate:
                 f"witness has {len(self.oracle_witness)} vertices, "
                 f"claimed size {self.oracle_size}"
             )
-        if not (self.checks.steiner and self.checks.dominating):
+        t = build_adjacency(self.instance)
+        witness = self.oracle_witness
+        if not (is_steiner_set(t, witness) and is_dominating_set(t, witness)):
             raise ValidationError("certificate witness failed a definitional check")
-
-
-def make_certificate(
-    parents: ParentArray,
-    algorithm_size: int,
-    oracle_size: int,
-    oracle_witness: tuple[int, ...],
-) -> DiscrepancyCertificate:
-    """Build a certificate, re-running both witness checks right now."""
-    t = build_adjacency(parents)
-    checks = WitnessChecks(
-        steiner=is_steiner_set(t, oracle_witness),
-        dominating=is_dominating_set(t, oracle_witness),
-    )
-    return DiscrepancyCertificate(
-        instance=parents,
-        algorithm_size=algorithm_size,
-        oracle_size=oracle_size,
-        oracle_witness=tuple(oracle_witness),
-        checks=checks,
-    )
 
 
 def _certificate_json(cert: DiscrepancyCertificate) -> str:
@@ -123,10 +96,8 @@ def _certificate_json(cert: DiscrepancyCertificate) -> str:
         "algorithm_size": cert.algorithm_size,
         "oracle_size": cert.oracle_size,
         "oracle_witness": list(cert.oracle_witness),
-        "checks": {
-            "steiner": cert.checks.steiner,
-            "dominating": cert.checks.dominating,
-        },
+        # a certificate exists only if its witness passed both checks
+        "checks": {"steiner": True, "dominating": True},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -154,10 +125,14 @@ def revalidate_certificate(
     Recomputes the construction side, re-runs both witness checks, and,
     when the instance is small enough for the enumeration oracle, confirms
     the claimed oracle size really is the minimum.  Raises ValidationError
-    on any mismatch with the sidecar, a missing or mistyped field included.
+    on any mismatch with the sidecar, a sidecar that is not JSON and a
+    missing or mistyped field included.
     """
     parents = parse_parent_file(Path(par_path).read_text())
-    data = json.loads(Path(json_path).read_text())
+    try:
+        data = json.loads(Path(json_path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"sidecar is not JSON: {exc}") from None
     n = _sidecar_field(data, "n", int)
     instance = _sidecar_field(data, "instance", list)
     algorithm_size = _sidecar_field(data, "algorithm_size", int)
@@ -170,7 +145,7 @@ def revalidate_certificate(
         raise ValidationError(
             f"recomputed construction size {recomputed} != recorded {algorithm_size}"
         )
-    cert = make_certificate(parents, algorithm_size, oracle_size, witness)
+    cert = DiscrepancyCertificate(parents, algorithm_size, oracle_size, witness)
     exact = _exact_steiner(build_adjacency(parents), caps)
     if exact is not None and exact[0] != oracle_size:
         raise ValidationError(
@@ -206,7 +181,6 @@ def _exact_steiner(
 class InstanceAudit:
     """All per-instance audit outcomes, pass/fail per layer."""
 
-    parents: ParentArray
     algorithm_size: int
     oracle_size: int | None  # None when the instance exceeds every oracle cap
     validity_ok: bool
@@ -257,7 +231,7 @@ def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> Ins
     if exact is not None:
         oracle_size, witness = exact
         if oracle_size < res.size:
-            certificate = make_certificate(parents, res.size, oracle_size, witness)
+            certificate = DiscrepancyCertificate(parents, res.size, oracle_size, witness)
         elif oracle_size > res.size:
             # sd itself is a valid candidate of this size, so the
             # enumeration finding anything larger means an oracle bug
@@ -266,7 +240,6 @@ def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> Ins
                 f"{oracle_size} on {list(parents.parent)}"
             )
     return InstanceAudit(
-        parents=parents,
         algorithm_size=res.size,
         oracle_size=oracle_size,
         validity_ok=validity_ok,

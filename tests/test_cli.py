@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from steinerdom import linearity_gate
+from steinerdom import CapExceededError, linearity_gate
 from steinerdom.bench import BenchRecord
 from steinerdom.cli import main
 
@@ -281,6 +281,17 @@ class TestVerify:
     def test_bad_mode_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli(["verify", "--mode", "sweep"]) == 1
         capsys.readouterr()
+
+    def test_cap_exceeded_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
+        def over_cap(**kwargs):
+            raise CapExceededError("n=30 exceeds Steiner-dominating cap 24 (prune=True)")
+
+        monkeypatch.setattr("steinerdom.cli.run_verify", over_cap)
+        code = run_cli(["verify", "--cert-dir", str(tmp_path / "c")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "steinerdom verify: error: n=30 exceeds Steiner-dominating cap 24 (prune=True)"
+        ]
 
 
 class TestBench:

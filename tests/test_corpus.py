@@ -145,10 +145,15 @@ class TestEnumeration:
         assert len(arrays) == len(set(arrays))
 
     def test_every_emitted_array_validates(self):
-        for pa in enumerate_parent_arrays(5, "forests"):
-            pa.roots()
-        for pa in enumerate_parent_arrays(5, "trees"):
-            validate(pa)
+        forests = list(enumerate_parent_arrays(5, "forests"))
+        assert len(forests) == 120  # 5! arrays with parent[i] in 0..i
+        for pa in forests:
+            zeros = tuple(i + 1 for i, p in enumerate(pa.parent) if p == 0)
+            assert pa.roots() == zeros and zeros[0] == 1
+        trees = list(enumerate_parent_arrays(5, "trees"))
+        assert len(trees) == 24  # 4!: vertex 1 is the only root
+        for pa in trees:
+            assert validate(pa) == (1,)
 
     def test_cap(self):
         with pytest.raises(ValidationError):

@@ -77,10 +77,6 @@ class TestSteinerSubtree:
         with pytest.raises(ValidationError):
             steiner_subtree(P5, (6,))
 
-    def test_forest_rejected(self):
-        with pytest.raises(ValidationError):
-            steiner_subtree(adjacency(0, 0), (1,))
-
     @given(tree_arrays(min_n=2, max_n=30), st.data())
     def test_pair_span_is_path_distance(self, pa, data):
         t = build_adjacency(pa)
@@ -119,6 +115,31 @@ class TestIsSteinerSet:
     def test_leaf_set_always_spans(self, pa):
         t = build_adjacency(pa)
         assert is_steiner_set(t, leaf_set(t))
+
+    @pytest.mark.parametrize("w", [(), (0, 1), (5, 6)])
+    def test_bad_terminal_set_rejected(self, w):
+        with pytest.raises(ValidationError):
+            is_steiner_set(P5, w)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(leaf_set, id="leaf_set"),
+        pytest.param(lambda t: steiner_subtree(t, (1,)), id="steiner_subtree"),
+        pytest.param(lambda t: is_steiner_set(t, (1, 2)), id="is_steiner_set"),
+        pytest.param(min_steiner_dominating_set, id="min_steiner_dominating_set"),
+        pytest.param(
+            lambda t: min_steiner_dominating_set(t, prune=True),
+            id="min_steiner_dominating_set_pruned",
+        ),
+        pytest.param(steiner_number, id="steiner_number"),
+    ],
+)
+def test_tree_only_entry_points_reject_a_forest(call):
+    """Each entry point that needs a single tree runs the one tree check."""
+    with pytest.raises(ValidationError, match="vertex 2 is a second root"):
+        call(adjacency(0, 0))
 
 
 class TestIsDominatingSet:
@@ -238,10 +259,6 @@ class TestMinSteinerDominatingSet:
         assert min_steiner_dominating_set(t19, prune=True)[0] == 7
         with pytest.raises(CapExceededError):
             min_steiner_dominating_set(build_adjacency(path_array(25)), prune=True)
-
-    def test_forest_rejected(self):
-        with pytest.raises(ValidationError):
-            min_steiner_dominating_set(adjacency(0, 0))
 
     @given(tree_arrays(min_n=2, max_n=10))
     def test_witness_passes_both_definitions(self, pa):

@@ -17,6 +17,7 @@ from steinerdom import (
     closed_neighborhood,
     enumerate_parent_arrays,
     format_parent_file,
+    is_dominating_set,
     leaf_set,
     parse_edge_list,
     parse_parent_file,
@@ -352,10 +353,6 @@ class TestLeafSet:
     def test_k1_is_its_own_leaf(self):
         assert leaf_set(adjacency(0)) == (1,)
 
-    def test_rejects_forest(self):
-        with pytest.raises(ValidationError):
-            leaf_set(adjacency(0, 0))
-
 
 class TestClosedNeighborhood:
     def test_path_endpoints(self):
@@ -383,7 +380,8 @@ def _adjacency_matrix(pa):
 @pytest.mark.slow
 def test_leaf_and_neighborhood_against_matrix_oracle_exhaustive():
     """Degree-1 detection and N[L] agree with a raw adjacency-matrix scan
-    on every tree with up to 9 vertices."""
+    on every tree with up to 9 vertices, and is_dominating_set agrees with
+    it on every vertex subset of every tree with up to 6."""
     for n in range(2, 10):
         for pa in enumerate_parent_arrays(n, "trees"):
             t = build_adjacency(pa)
@@ -400,6 +398,14 @@ def test_leaf_and_neighborhood_against_matrix_oracle_exhaustive():
                 or any(m[v][u] for u in leaf_flags)
             )
             assert closed_neighborhood(t, leaves) == expected
+            if n > 6:
+                continue
+            for mask in range(1 << n):
+                s = tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+                dominated = all(
+                    v in s or any(m[v][u] for u in s) for v in range(1, n + 1)
+                )
+                assert is_dominating_set(t, s) == dominated, (pa.parent, s)
 
 
 def test_build_adjacency_degrees():

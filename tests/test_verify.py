@@ -11,10 +11,8 @@ from steinerdom import (
     OracleCaps,
     ParentArray,
     ValidationError,
-    WitnessChecks,
     audit_instance,
     fixture,
-    make_certificate,
     revalidate_certificate,
     run_verify,
     write_certificate,
@@ -179,31 +177,34 @@ class TestRunVerifyValidation:
 
 
 class TestCertificateObjects:
-    def test_make_certificate_on_fixture(self):
-        cert = make_certificate(GADGET_8, 5, 4, (1, 2, 7, 8))
-        assert cert.checks == WitnessChecks(steiner=True, dominating=True)
+    def test_make_certificate_on_fixture(self, tmp_path):
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        sidecar = write_certificate(cert, tmp_path, "case")[1]
+        checks = json.loads(sidecar.read_text())["checks"]
+        assert checks == {"steiner": True, "dominating": True}
 
     def test_oracle_must_beat_algorithm(self):
         with pytest.raises(ValidationError, match="oracle_size < algorithm_size"):
-            make_certificate(GADGET_8, 4, 4, (1, 2, 7, 8))
+            DiscrepancyCertificate(GADGET_8, 4, 4, (1, 2, 7, 8))
 
     def test_witness_length_must_match(self):
         with pytest.raises(ValidationError, match="witness"):
-            make_certificate(GADGET_8, 5, 3, (1, 2, 7, 8))
+            DiscrepancyCertificate(GADGET_8, 5, 3, (1, 2, 7, 8))
 
     def test_witness_must_pass_checks(self):
         # (1, 2, 3, 8) leaves vertex 7 undominated
         with pytest.raises(ValidationError, match="definitional check"):
-            make_certificate(GADGET_8, 5, 4, (1, 2, 3, 8))
+            DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 3, 8))
 
     def test_direct_construction_also_guarded(self):
-        with pytest.raises(ValidationError):
+        # (2, 3, 7, 8) holds every leaf, so it is a Steiner set, but
+        # leaves vertex 4 undominated
+        with pytest.raises(ValidationError, match="definitional check"):
             DiscrepancyCertificate(
                 instance=GADGET_8,
                 algorithm_size=5,
                 oracle_size=4,
-                oracle_witness=(1, 2, 7, 8),
-                checks=WitnessChecks(steiner=True, dominating=False),
+                oracle_witness=(2, 3, 7, 8),
             )
 
 
@@ -212,7 +213,7 @@ class TestRevalidation:
         return write_certificate(cert, tmp_path, "case")
 
     def test_roundtrip(self, tmp_path):
-        cert = make_certificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
         par, sidecar = self._write(tmp_path, cert)
         assert revalidate_certificate(par, sidecar) == cert
 
@@ -222,28 +223,28 @@ class TestRevalidation:
         sidecar.write_text(json.dumps(data))
 
     def test_tampered_instance(self, tmp_path):
-        cert = make_certificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
         par, sidecar = self._write(tmp_path, cert)
         self._tamper(sidecar, "instance", [0, 1, 1, 1, 3, 4, 5, 5])
         with pytest.raises(ValidationError, match="does not match"):
             revalidate_certificate(par, sidecar)
 
     def test_tampered_algorithm_size(self, tmp_path):
-        cert = make_certificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
         par, sidecar = self._write(tmp_path, cert)
         self._tamper(sidecar, "algorithm_size", 6)
         with pytest.raises(ValidationError, match="recomputed construction"):
             revalidate_certificate(par, sidecar)
 
     def test_tampered_oracle_size(self, tmp_path):
-        cert = make_certificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
         par, sidecar = self._write(tmp_path, cert)
         self._tamper(sidecar, "oracle_size", 3)
         with pytest.raises(ValidationError, match="witness"):
             revalidate_certificate(par, sidecar)
 
     def test_tampered_witness(self, tmp_path):
-        cert = make_certificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
         par, sidecar = self._write(tmp_path, cert)
         self._tamper(sidecar, "oracle_witness", [1, 2, 3, 8])
         with pytest.raises(ValidationError, match="definitional check"):
@@ -260,7 +261,7 @@ class TestRevalidation:
         ],
     )
     def test_malformed_field_is_named(self, tmp_path, key, value):
-        cert = make_certificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
         par, sidecar = self._write(tmp_path, cert)
         data = json.loads(sidecar.read_text())
         if value is _MISSING:
@@ -271,10 +272,18 @@ class TestRevalidation:
         with pytest.raises(ValidationError, match=f"sidecar field '{key}'"):
             revalidate_certificate(par, sidecar)
 
+    @pytest.mark.parametrize("content", [b'{"n": 8,', b"\xff"])
+    def test_sidecar_that_is_not_json(self, tmp_path, content):
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        par, sidecar = self._write(tmp_path, cert)
+        sidecar.write_bytes(content)
+        with pytest.raises(ValidationError, match="sidecar is not JSON"):
+            revalidate_certificate(par, sidecar)
+
     def test_recorded_size_must_be_the_minimum(self, tmp_path):
         # a 9-vertex witness is valid and beats the construction's 10, but
         # the enumeration knows the true minimum is 8
-        cert = make_certificate(
+        cert = DiscrepancyCertificate(
             GADGET_16, GADGET_16_ALG, GADGET_16_MIN + 1, GADGET_16_PADDED
         )
         par, sidecar = self._write(tmp_path, cert)
@@ -282,7 +291,7 @@ class TestRevalidation:
             revalidate_certificate(par, sidecar, caps=GADGET_16_CAPS)
 
     def test_honest_minimum_revalidates(self, tmp_path):
-        cert = make_certificate(
+        cert = DiscrepancyCertificate(
             GADGET_16, GADGET_16_ALG, GADGET_16_MIN, GADGET_16_WITNESS
         )
         par, sidecar = self._write(tmp_path, cert)
@@ -291,7 +300,7 @@ class TestRevalidation:
     def test_beyond_caps_skips_the_minimality_check(self, tmp_path):
         # with both oracle caps below n the sidecar consistency checks still
         # run, but minimality is accepted as recorded
-        cert = make_certificate(
+        cert = DiscrepancyCertificate(
             GADGET_16, GADGET_16_ALG, GADGET_16_MIN + 1, GADGET_16_PADDED
         )
         par, sidecar = self._write(tmp_path, cert)
