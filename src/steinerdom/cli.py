@@ -22,6 +22,7 @@ from .tree_model import (
     parse_edge_list,
     parse_parent_file,
     position_line,
+    read_ascii_file,
     relabel_bfs,
 )
 
@@ -94,18 +95,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: Path) -> str:
-    """The file as text; a non-ASCII byte is a line-numbered ParseError."""
-    data = path.read_bytes()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            f"line {lineno}: byte 0x{data[exc.start]:02x} is not ASCII"
-        ) from None
-
-
 def _solve_file(path_text: str, fmt: str):
     """Parse one tree file and run the construction on it.
 
@@ -124,7 +113,7 @@ def _solve_file(path_text: str, fmt: str):
             raise TreeModelError(
                 f"cannot infer format of {path.name!r}; pass --format par|edg"
             )
-    text = _read_input(path)
+    text = read_ascii_file(path)
     try:
         if fmt == "par":
             parents = parse_parent_file(text)
@@ -136,7 +125,7 @@ def _solve_file(path_text: str, fmt: str):
     except ValidationError as exc:
         if exc.position is None:
             raise
-        line = position_line(_read_input(path), exc.position)
+        line = position_line(read_ascii_file(path), exc.position)
         raise ParseError(f"line {line}: {exc}") from None
 
 
@@ -167,7 +156,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gamma_forest(args) -> int:
-    parents = parse_parent_file(_read_input(Path(args.input)))
+    parents = parse_parent_file(read_ascii_file(args.input))
     dom = forest_domination(parents)
     if args.json:
         import json

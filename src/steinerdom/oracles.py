@@ -1,24 +1,37 @@
 """Definition-driven exact computations used as ground truth in tests.
 
-Everything here works straight from the definitions: spanning subtrees by
-iterative pruning, dominating sets by subset enumeration or an independent
-dynamic program, Steiner sets by actually computing the span.  None of it
-shares logic with the linear labeling passes it is used to check.
+Everything here works straight from the definitions, and none of it
+shares logic with the linear labeling passes it is used to check:
+
+- spans by iterative pruning (steiner_subtree and the Steiner set test);
+- minimum dominating sets by bit-sliced evaluation over every subset,
+  and the domination number by an independent dynamic program;
+- minimum Steiner dominating sets and Steiner numbers by bit-sliced
+  evaluation, or, in min_steiner_dominating_set's pruned mode, by
+  enumerating leaf supersets and pruning each candidate to its span.
+
+Bit-sliced evaluation lets bit s of one int stand for subset s of the n
+vertices, so a predicate is decided for all 2^n subsets by O(n) big-int
+AND/OR operations.  It tests the same definitions without the span
+pruning: a vertex is dominated when a member lies in its closed
+neighborhood, and it lies on the span when it is a member or two branches
+at it hold members.  The pruned mode therefore remains an independent
+check of the bit-sliced one.
 
 The public functions check their arguments on entry, with tree_model's
 single-tree and vertex-range checks; the enumerations then test their
 candidates, valid by construction, without checking them again.
 
-Subset enumeration visits candidates in increasing size, then
-lexicographic order, so returned witnesses are deterministic.  Size caps
-keep the exponential searches at desk scale; they are configuration, not
-logic.
+Witnesses are deterministic: the first optimum in increasing size, then
+lexicographic order of the label tuple.  Size caps keep the exponential
+searches at desk scale; they are configuration, not logic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .tree_model import (
@@ -136,25 +149,115 @@ def min_dominating_set(
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum dominating set of a forest.
 
-    Candidates are visited in increasing size and, within a size,
-    lexicographic order of the label tuple, so the witness is the
-    deterministic first optimum.
+    Every subset is tested at once, bit-sliced; the witness is the first
+    optimum in increasing size, then lexicographic order of the label
+    tuple.
     """
     n = f.n
     if n == 0:
         return 0, ()
     if n > caps.dominating:
         raise CapExceededError(f"n={n} exceeds dominating-set cap {caps.dominating}")
-    masks = _closed_masks(f)
-    full = (1 << n) - 1
+    has, sizes = _subset_planes(n)
+    return _first_optimum(n, _dominating_subsets(f, has), sizes)
+
+
+@lru_cache(maxsize=None)
+def _subset_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Every subset of n vertices, bit-sliced: ``(has, sizes)``.
+
+    Bit s of an int stands for the subset holding each label v whose bit
+    n - v of s is set, so among subsets of one size the lexicographically
+    first label tuple is the highest bit.  ``has[v]`` marks the subsets
+    that contain v (``has[0]``, no vertex, is 0) and ``sizes[k]`` those
+    with k members.  Each of the 2n + 1 ints has 2^n bits, and the cache
+    keeps them for every n asked for, which the oracle caps bound.
+    """
+    width = 1 << n
+    full = (1 << width) - 1
+    nbytes = max(width >> 3, 1)
+    has = [0] * (n + 1)
+    for v in range(1, n + 1):
+        # bit j is set in the upper half of every run of 2^(j + 1) indices
+        j = n - v
+        if j < 3:
+            unit = (b"\xaa", b"\xcc", b"\xf0")[j]
+        else:
+            half = 1 << (j - 3)
+            unit = bytes(half) + b"\xff" * half
+        has[v] = int.from_bytes(unit * (nbytes // len(unit)), "little") & full
+    # a ripple-carry counter over the has ints: bit i of each subset's size
+    counts = [0] * n.bit_length()
+    for carry in has:
+        i = 0
+        while carry:
+            counts[i], carry = counts[i] ^ carry, counts[i] & carry
+            i += 1
+    sizes = []
+    for k in range(n + 1):
+        size_k = full
+        for i, c in enumerate(counts):
+            size_k &= c if k >> i & 1 else full ^ c
+        sizes.append(size_k)
+    return tuple(has), tuple(sizes)
+
+
+def _first_optimum(
+    n: int, valid: int, sizes: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """The smallest k with a subset in ``valid``, and the lexicographically
+    first such k-subset: the highest bit of ``valid & sizes[k]``."""
     for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            cover = 0
-            for idx in combo:
-                cover |= masks[idx]
-            if cover == full:
-                return k, tuple(i + 1 for i in combo)
-    raise AssertionError("the full vertex set always dominates")
+        found = valid & sizes[k]
+        if found:
+            s = found.bit_length() - 1
+            return k, tuple(v for v in range(1, n + 1) if s >> (n - v) & 1)
+    raise AssertionError("the full vertex set always qualifies")
+
+
+def _dominating_subsets(f: AdjacencyTree, has: tuple[int, ...]) -> int:
+    """The dominating sets of the forest f, bit-sliced: the subsets that
+    meet N[u] for every vertex u."""
+    valid = -1
+    for u in range(1, f.n + 1):
+        near = has[u] | has[f.parent[u - 1]]  # has[0] is 0 for a root
+        for c in f.children[u - 1]:
+            near |= has[c]
+        valid &= near
+    return valid
+
+
+def _spanning_subsets(t: AdjacencyTree, has: tuple[int, ...]) -> int:
+    """The Steiner sets of the tree t, bit-sliced.
+
+    A vertex v lies on the span of W iff v is in W or W meets at least two
+    components of T - v: the subtrees of v's children and, unless v is the
+    root, the part outside v's own subtree.  A descending pass ORs each
+    subtree's members and counts, per vertex, the child subtrees that W
+    meets (``ones``: at least one, ``twos``: at least two); an ascending
+    pass derives the part outside each subtree from its parent's.
+    """
+    n = t.n
+    parent = t.parent
+    subtree = list(has)
+    ones = [0] * (n + 1)
+    twos = [0] * (n + 1)
+    for v in range(n, 1, -1):
+        p = parent[v - 1]
+        below = subtree[v]
+        twos[p] |= ones[p] & below
+        ones[p] |= below
+        subtree[p] |= below
+    outside = [0] * (n + 1)  # the root has no outside part
+    valid = -1
+    for v in range(1, n + 1):
+        out = outside[v]
+        valid &= has[v] | twos[v] | (ones[v] & out)
+        # a child's outside: v's outside, v, and any other child subtree
+        shared = out | has[v] | twos[v]
+        for c in t.children[v - 1]:
+            outside[c] = shared | (ones[v] & ~subtree[c])
+    return valid
 
 
 def domination_number_dp(f: AdjacencyTree) -> int:
@@ -215,11 +318,12 @@ def min_steiner_dominating_set(
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum Steiner dominating set of a tree.
 
+    The unpruned mode tests every subset at once, bit-sliced, against both
+    definitions; it assumes nothing, so the claim below stays testable.
     With ``prune=True`` only supersets of the leaf set are enumerated
-    (every Steiner set of a tree contains its end-vertices), buying a
-    larger cap.  The unpruned mode exists so that claim itself stays
-    testable: it assumes nothing and checks every candidate against both
-    definitions.
+    (every Steiner set of a tree contains its end-vertices), each pruned
+    to its span, buying a larger cap.  Both modes return the first optimum
+    in increasing size, then lexicographic order.
     """
     validate(t)
     n = t.n
@@ -228,9 +332,9 @@ def min_steiner_dominating_set(
         raise CapExceededError(
             f"n={n} exceeds Steiner-dominating cap {cap} (prune={prune})"
         )
-    masks = _closed_masks(t)
-    full = (1 << n) - 1
     if prune:
+        masks = _closed_masks(t)
+        full = (1 << n) - 1
         base = leaf_set(t)
         base_cover = 0
         for v in base:
@@ -247,24 +351,16 @@ def min_steiner_dominating_set(
                     if _prune_to_span(t, w)[1] == n:
                         return len(w), w
         raise AssertionError("the full vertex set is Steiner and dominating")
-    for k in range(1, n + 1):
-        for combo in combinations(range(1, n + 1), k):
-            cover = 0
-            for v in combo:
-                cover |= masks[v - 1]
-            if cover == full and _prune_to_span(t, combo)[1] == n:
-                return k, combo
-    raise AssertionError("the full vertex set is Steiner and dominating")
+    has, sizes = _subset_planes(n)
+    valid = _spanning_subsets(t, has) & _dominating_subsets(t, has)
+    return _first_optimum(n, valid, sizes)
 
 
 def steiner_number(t: AdjacencyTree, caps: OracleCaps = DEFAULT_CAPS) -> int:
-    """Smallest size of a Steiner set, by plain enumeration."""
+    """Smallest size of a Steiner set, testing every subset bit-sliced."""
     validate(t)
     n = t.n
     if n > caps.steiner_number:
         raise CapExceededError(f"n={n} exceeds Steiner-number cap {caps.steiner_number}")
-    for k in range(1, n + 1):
-        for combo in combinations(range(1, n + 1), k):
-            if _prune_to_span(t, combo)[1] == n:
-                return k
-    raise AssertionError("the full vertex set is a Steiner set")
+    has, sizes = _subset_planes(n)
+    return _first_optimum(n, _spanning_subsets(t, has), sizes)[0]

@@ -10,6 +10,7 @@ relabeling that restores the ordering.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -123,6 +124,20 @@ class AdjacencyTree:
     parent: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     degree: tuple[int, ...]
+
+
+def read_ascii_file(path: str | os.PathLike) -> str:
+    """A .par or .edg file as text; a non-ASCII byte is a line-numbered
+    ParseError, as every other character outside the grammar is."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"line {lineno}: byte 0x{data[exc.start]:02x} is not ASCII"
+        ) from None
 
 
 # After CRLF -> LF, a file may hold only ASCII digits, spaces, tabs and LF.

@@ -51,6 +51,7 @@ from .tree_model import (
     format_parent_file,
     leaf_set,
     parse_parent_file,
+    read_ascii_file,
 )
 
 AUDIT_FIXTURE = "theorem1-audit-8"
@@ -126,9 +127,10 @@ def revalidate_certificate(
     when the instance is small enough for the enumeration oracle, confirms
     the claimed oracle size really is the minimum.  Raises ValidationError
     on any mismatch with the sidecar, a sidecar that is not JSON and a
-    missing or mistyped field included.
+    missing or mistyped field included, and ParseError, as ``solve`` does,
+    on a .par file outside the grammar or with a non-ASCII byte.
     """
-    parents = parse_parent_file(Path(par_path).read_text())
+    parents = parse_parent_file(read_ascii_file(par_path))
     try:
         data = json.loads(Path(json_path).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -1,5 +1,6 @@
 """Exact oracles: spans, domination enumeration and DP, Steiner variants."""
 
+import math
 import random
 from collections import deque
 from itertools import combinations
@@ -29,6 +30,8 @@ from steinerdom import (
     steiner_number,
     steiner_subtree,
 )
+
+from steinerdom.oracles import _closed_masks, _prune_to_span, _subset_planes
 
 from conftest import adjacency, forest_arrays, path_array, tree_arrays
 
@@ -176,6 +179,13 @@ class TestMinDominatingSet:
         big = OracleCaps(dominating=25)
         assert min_dominating_set(build_adjacency(path_array(21)), big)[0] == 7
 
+    @pytest.mark.parametrize("family", ["path", "binary", "prufer"])
+    def test_at_the_cap_matches_the_dp(self, family):
+        f = build_adjacency(gen(GeneratorSpec(family, n=20, seed=1)))
+        size, witness = min_dominating_set(f)
+        assert size == len(witness) == domination_number_dp(f)
+        assert is_dominating_set(f, witness)
+
     @given(forest_arrays(min_n=1, max_n=12))
     def test_witness_is_consistent(self, pa):
         f = build_adjacency(pa)
@@ -269,12 +279,106 @@ class TestMinSteinerDominatingSet:
         assert is_dominating_set(t, witness)
 
     @settings(max_examples=60)
-    @given(tree_arrays(min_n=2, max_n=12))
+    @given(tree_arrays(min_n=2, max_n=16))
     def test_pruned_agrees_with_unpruned(self, pa):
         t = build_adjacency(pa)
         assert min_steiner_dominating_set(t) == min_steiner_dominating_set(
             t, prune=True
         )
+
+    def test_pruned_agrees_with_unpruned_on_every_tree_to_8(self):
+        for n in range(1, 9):
+            for pa in enumerate_parent_arrays(n, "trees"):
+                t = build_adjacency(pa)
+                assert min_steiner_dominating_set(t) == min_steiner_dominating_set(
+                    t, prune=True
+                ), pa
+
+    @pytest.mark.parametrize("family", ["path", "binary", "prufer"])
+    def test_pruned_agrees_with_unpruned_at_the_cap(self, family):
+        t = build_adjacency(gen(GeneratorSpec(family, n=18, seed=1)))
+        size, witness = min_steiner_dominating_set(t)
+        assert (size, witness) == min_steiner_dominating_set(t, prune=True)
+        assert is_steiner_set(t, witness) and is_dominating_set(t, witness)
+
+
+def _reference_min_dominating_set(f):
+    """The combinations enumeration min_dominating_set ran before it was
+    bit-sliced: sizes ascending, each in lexicographic order."""
+    n = f.n
+    if n == 0:
+        return 0, ()
+    masks = _closed_masks(f)
+    full = (1 << n) - 1
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
+            cover = 0
+            for idx in combo:
+                cover |= masks[idx]
+            if cover == full:
+                return k, tuple(i + 1 for i in combo)
+    raise AssertionError("the full vertex set always dominates")
+
+
+def _reference_min_steiner_dominating_set(t):
+    """The unpruned combinations enumeration, each candidate pruned to its
+    span."""
+    n = t.n
+    masks = _closed_masks(t)
+    full = (1 << n) - 1
+    for k in range(1, n + 1):
+        for combo in combinations(range(1, n + 1), k):
+            cover = 0
+            for v in combo:
+                cover |= masks[v - 1]
+            if cover == full and _prune_to_span(t, combo)[1] == n:
+                return k, combo
+    raise AssertionError("the full vertex set is Steiner and dominating")
+
+
+def _reference_steiner_number(t):
+    n = t.n
+    for k in range(1, n + 1):
+        for combo in combinations(range(1, n + 1), k):
+            if _prune_to_span(t, combo)[1] == n:
+                return k
+    raise AssertionError("the full vertex set is a Steiner set")
+
+
+class TestBitSlicedOracles:
+    """The bit-sliced oracles return the (size, witness) of the combinations
+    enumeration they replaced."""
+
+    def test_steiner_oracles_match_the_enumeration_on_every_tree_to_8(self):
+        for n in range(1, 9):
+            for pa in enumerate_parent_arrays(n, "trees"):
+                t = build_adjacency(pa)
+                expected = _reference_min_steiner_dominating_set(t)
+                assert min_steiner_dominating_set(t) == expected, pa
+                assert steiner_number(t) == _reference_steiner_number(t), pa
+
+    def test_min_dominating_set_matches_the_enumeration_on_every_forest_to_6(self):
+        forests = [ParentArray(0, ())]
+        for n in range(1, 7):
+            forests += enumerate_parent_arrays(n, "forests")
+        for pa in forests:
+            f = build_adjacency(pa)
+            assert min_dominating_set(f) == _reference_min_dominating_set(f), pa
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_planes_mark_members_and_sizes(self, n):
+        """Subset s holds label v iff bit n - v of s is set; the size
+        classes partition all 2^n subsets, C(n, k) in class k."""
+        has, sizes = _subset_planes(n)
+        assert len(has) == n + 1 and has[0] == 0
+        assert len(sizes) == n + 1
+        assert [size_k.bit_count() for size_k in sizes] == [
+            math.comb(n, k) for k in range(n + 1)
+        ]
+        for s in range(1 << n):
+            members = [v for v in range(1, n + 1) if has[v] >> s & 1]
+            assert members == [v for v in range(1, n + 1) if s >> (n - v) & 1]
+            assert sizes[len(members)] >> s & 1
 
 
 class TestSteinerNumber:

@@ -10,6 +10,7 @@ from steinerdom import (
     DiscrepancyCertificate,
     OracleCaps,
     ParentArray,
+    ParseError,
     ValidationError,
     audit_instance,
     fixture,
@@ -278,6 +279,13 @@ class TestRevalidation:
         par, sidecar = self._write(tmp_path, cert)
         sidecar.write_bytes(content)
         with pytest.raises(ValidationError, match="sidecar is not JSON"):
+            revalidate_certificate(par, sidecar)
+
+    def test_non_ascii_par_is_a_parse_error(self, tmp_path):
+        cert = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
+        par, sidecar = self._write(tmp_path, cert)
+        par.write_bytes(par.read_bytes().replace(b" 5", b" \xff", 1))
+        with pytest.raises(ParseError, match=r"^line 2: byte 0xff is not ASCII$"):
             revalidate_certificate(par, sidecar)
 
     def test_recorded_size_must_be_the_minimum(self, tmp_path):
