@@ -21,14 +21,13 @@ import gc
 import statistics
 import time
 import tracemalloc
-from dataclasses import dataclass
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from .corpus import GeneratorSpec, gen
 from .forest_domination import forest_domination
 from .steiner_domination import steiner_domination
-from .tree_model import ParentArray, ValidationError
+from .tree_model import ParentArray, Record, ValidationError
 
 CSV_COLUMNS = ("n", "algorithm", "ns_total_median", "ns_per_vertex")
 ALGORITHMS = ("forest_dom", "steiner_dom")
@@ -39,16 +38,17 @@ TIME_RATIO_LIMIT = 3.0
 MEMORY_RATIO_LIMIT = 12.0
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(Record):
     """One (size, algorithm) measurement; peak_bytes is tracemalloc's
     high-water mark for one run."""
 
-    n: int
-    algorithm: str
-    ns_total_median: int
-    ns_per_vertex: float
-    peak_bytes: int
+    __slots__ = ("n", "algorithm", "ns_total_median", "ns_per_vertex", "peak_bytes")
+
+    def __init__(
+        self, n: int, algorithm: str, ns_total_median: int, ns_per_vertex: float,
+        peak_bytes: int,
+    ) -> None:
+        self._fill(n, algorithm, ns_total_median, ns_per_vertex, peak_bytes)
 
 
 def _measure(algorithm: str, parents: ParentArray, reps: int) -> tuple[int, int]:

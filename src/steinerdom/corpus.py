@@ -11,11 +11,10 @@ canonicalization so their output is independent of construction order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
-from .tree_model import EdgeList, ParentArray, ValidationError, relabel_bfs
+from .tree_model import EdgeList, ParentArray, Record, ValidationError, relabel_bfs
 
 FAMILIES = (
     "path",
@@ -30,27 +29,25 @@ FAMILIES = (
 ENUMERATION_MAX_N = 10
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """One instance request.  n is derived from the shape parameters for
     spider (1 + legs * leg_length) and caterpillar (spine + leg sum); for
     those families an explicit n must agree with the derived value."""
 
-    family: str
-    n: int | None = None
-    seed: int = 0
-    legs: int | None = None
-    leg_length: int | None = None
-    spine: int | None = None
-    pattern: tuple[int, ...] | None = None
+    __slots__ = ("family", "n", "seed", "legs", "leg_length", "spine", "pattern")
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+    def __init__(
+        self, family: str, n: int | None = None, seed: int = 0, legs: int | None = None,
+        leg_length: int | None = None, spine: int | None = None,
+        pattern: tuple[int, ...] | None = None,
+    ) -> None:
+        if family not in FAMILIES:
             raise ValidationError(
-                f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}"
+                f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
             )
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
+        self._fill(family, n, seed, legs, leg_length, spine, pattern)
 
 
 def _require_n(spec: GeneratorSpec) -> int:

@@ -30,13 +30,13 @@ searches at desk scale; they are configuration, not logic.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .tree_model import (
     AdjacencyTree,
     ParentArray,
+    Record,
     TreeModelError,
     ValidationError,
     _check_vertices,
@@ -51,25 +51,30 @@ class CapExceededError(TreeModelError):
     """Instance larger than the enumeration cap for the requested oracle."""
 
 
-@dataclass(frozen=True)
-class OracleCaps:
+class OracleCaps(Record):
     """Largest n each enumeration oracle will accept."""
 
-    dominating: int = 20
-    steiner_dominating: int = 18
-    steiner_dominating_pruned: int = 24
-    steiner_number: int = 18
+    __slots__ = (
+        "dominating", "steiner_dominating", "steiner_dominating_pruned", "steiner_number"
+    )
+
+    def __init__(
+        self, dominating: int = 20, steiner_dominating: int = 18,
+        steiner_dominating_pruned: int = 24, steiner_number: int = 18,
+    ) -> None:
+        self._fill(dominating, steiner_dominating, steiner_dominating_pruned, steiner_number)
 
 
 DEFAULT_CAPS = OracleCaps()
 
 
-@dataclass(frozen=True)
-class SteinerTreeSpan:
+class SteinerTreeSpan(Record):
     """The unique minimal subtree spanning a terminal set in a tree."""
 
-    vertices: tuple[int, ...]
-    edge_count: int
+    __slots__ = ("vertices", "edge_count")
+
+    def __init__(self, vertices: tuple[int, ...], edge_count: int) -> None:
+        self._fill(vertices, edge_count)
 
 
 def _prune_to_span(t: AdjacencyTree, w: tuple[int, ...]) -> tuple[bytearray, int]:

@@ -30,19 +30,17 @@ root, is a root of the core forest, and the set comes back in tree labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import setitem
 
 from .forest_domination import forest_domination
-from .tree_model import ParentArray, validate
+from .tree_model import ParentArray, Record, validate
 
 # swaps the 0/1 byte flags
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-@dataclass(frozen=True)
-class CoreForest:
+class CoreForest(Record):
     """The forest induced by vertices at distance >= 2 from every leaf.
 
     to_tree lists its m vertices by tree label, ascending.  A core vertex's
@@ -50,12 +48,13 @@ class CoreForest:
     vertex; otherwise the vertex is a core root.
     """
 
-    m: int
-    to_tree: tuple[int, ...]
+    __slots__ = ("m", "to_tree")
+
+    def __init__(self, m: int, to_tree: tuple[int, ...]) -> None:
+        self._fill(m, to_tree)
 
 
-@dataclass(frozen=True)
-class SteinerDominationResult:
+class SteinerDominationResult(Record):
     """Full trace of one run of the construction.
 
     steiner_dominating_set is the disjoint union of leaves and
@@ -63,11 +62,14 @@ class SteinerDominationResult:
     the core forest.
     """
 
-    leaves: tuple[int, ...]
-    core: CoreForest
-    core_dominating_set: tuple[int, ...]
-    steiner_dominating_set: tuple[int, ...]
-    size: int
+    __slots__ = ("leaves", "core", "core_dominating_set", "steiner_dominating_set", "size")
+
+    def __init__(
+        self, leaves: tuple[int, ...], core: CoreForest,
+        core_dominating_set: tuple[int, ...], steiner_dominating_set: tuple[int, ...],
+        size: int,
+    ) -> None:
+        self._fill(leaves, core, core_dominating_set, steiner_dominating_set, size)
 
 
 def steiner_domination(parents: ParentArray) -> SteinerDominationResult:

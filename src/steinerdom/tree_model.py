@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import not_
 
@@ -39,8 +38,49 @@ class ValidationError(TreeModelError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class ParentArray:
+class Record:
+    """An immutable value whose fields are its class's ``__slots__``.
+
+    Records of one class compare and hash by their field values, repr as
+    ``Class(field=value, ...)``, and copy and pickle through their
+    constructor.  Assigning or deleting an attribute raises AttributeError,
+    so a subclass's ``__init__`` runs its checks and then sets every field
+    at once with ``_fill``.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        """Set the fields to values, given in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ParentArray(Record):
     """A rooted forest as a parent array.
 
     ``parent[i - 1]`` is the parent label of vertex i, with 0 for roots.
@@ -51,22 +91,20 @@ class ParentArray:
     require n >= 1.
     """
 
-    n: int
-    parent: tuple[int, ...]
+    __slots__ = ("n", "parent")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValidationError(f"vertex count must be >= 0, got {self.n}")
-        if len(self.parent) != self.n:
-            raise ValidationError(
-                f"parent array has {len(self.parent)} entries, expected {self.n}"
-            )
-        for idx, p in enumerate(self.parent):
+    def __init__(self, n: int, parent: tuple[int, ...]) -> None:
+        if n < 0:
+            raise ValidationError(f"vertex count must be >= 0, got {n}")
+        if len(parent) != n:
+            raise ValidationError(f"parent array has {len(parent)} entries, expected {n}")
+        for idx, p in enumerate(parent):
             # vertex label is idx + 1; parent must be in {0, .., idx}
             if not 0 <= p <= idx:
                 raise ValidationError(
                     f"parent of vertex {idx + 1} is {p} (must be in 0..{idx})", idx
                 )
+        self._fill(n, parent)
 
     def roots(self) -> tuple[int, ...]:
         return _roots(self.parent)
@@ -77,17 +115,14 @@ def _roots(parent: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(compress(count(1), map(not_, parent)))
 
 
-@dataclass(frozen=True)
-class EdgeList:
+class EdgeList(Record):
     """An unrooted graph on labels 1..n given as unordered edges."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
         seen = set()
-        for pos, (u, v) in enumerate(self.edges):
+        for pos, (u, v) in enumerate(edges):
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(
                     f"edge ({u}, {v}) has a label outside 1..{n}", pos
@@ -101,29 +136,31 @@ class EdgeList:
                     f"duplicate edge ({min(u, v)}, {max(u, v)})", pos
                 )
             seen.add(key)
+        self._fill(n, edges)
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> EdgeList:
         """An EdgeList built without the checks, for edges that are valid
         by construction, such as a decoded Prüfer sequence's."""
         el = object.__new__(cls)
-        object.__setattr__(el, "n", n)
-        object.__setattr__(el, "edges", edges)
+        el._fill(n, edges)
         return el
 
 
-@dataclass(frozen=True)
-class AdjacencyTree:
+class AdjacencyTree(Record):
     """Children lists and unrooted degrees derived from a ParentArray.
 
     degree counts the undirected incidences: child count plus one for the
     parent edge on non-roots.
     """
 
-    n: int
-    parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    degree: tuple[int, ...]
+    __slots__ = ("n", "parent", "children", "degree")
+
+    def __init__(
+        self, n: int, parent: tuple[int, ...], children: tuple[tuple[int, ...], ...],
+        degree: tuple[int, ...],
+    ) -> None:
+        self._fill(n, parent, children, degree)
 
 
 def read_ascii_file(path: str | os.PathLike) -> str:

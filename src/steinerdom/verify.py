@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import ENUMERATION_MAX_N, FIXTURES, GeneratorSpec, enumerate_parent_arrays, gen
@@ -45,6 +44,7 @@ from .steiner_domination import steiner_domination
 from .tree_model import (
     AdjacencyTree,
     ParentArray,
+    Record,
     ValidationError,
     build_adjacency,
     closed_neighborhood,
@@ -57,8 +57,7 @@ from .tree_model import (
 AUDIT_FIXTURE = "theorem1-audit-8"
 
 
-@dataclass(frozen=True)
-class DiscrepancyCertificate:
+class DiscrepancyCertificate(Record):
     """Proof that the construction overshoots on one instance.
 
     Carries the instance, both sizes, and a witness set strictly smaller
@@ -68,26 +67,26 @@ class DiscrepancyCertificate:
     self-consistent.
     """
 
-    instance: ParentArray
-    algorithm_size: int
-    oracle_size: int
-    oracle_witness: tuple[int, ...]
+    __slots__ = ("instance", "algorithm_size", "oracle_size", "oracle_witness")
 
-    def __post_init__(self) -> None:
-        if not self.oracle_size < self.algorithm_size:
+    def __init__(
+        self, instance: ParentArray, algorithm_size: int, oracle_size: int,
+        oracle_witness: tuple[int, ...],
+    ) -> None:
+        if not oracle_size < algorithm_size:
             raise ValidationError(
                 f"certificate needs oracle_size < algorithm_size, got "
-                f"{self.oracle_size} vs {self.algorithm_size}"
+                f"{oracle_size} vs {algorithm_size}"
             )
-        if len(self.oracle_witness) != self.oracle_size:
+        if len(oracle_witness) != oracle_size:
             raise ValidationError(
-                f"witness has {len(self.oracle_witness)} vertices, "
-                f"claimed size {self.oracle_size}"
+                f"witness has {len(oracle_witness)} vertices, "
+                f"claimed size {oracle_size}"
             )
-        t = build_adjacency(self.instance)
-        witness = self.oracle_witness
-        if not (is_steiner_set(t, witness) and is_dominating_set(t, witness)):
+        t = build_adjacency(instance)
+        if not (is_steiner_set(t, oracle_witness) and is_dominating_set(t, oracle_witness)):
             raise ValidationError("certificate witness failed a definitional check")
+        self._fill(instance, algorithm_size, oracle_size, oracle_witness)
 
 
 def _certificate_json(cert: DiscrepancyCertificate) -> str:
@@ -179,16 +178,24 @@ def _exact_steiner(
     return None
 
 
-@dataclass(frozen=True)
-class InstanceAudit:
-    """All per-instance audit outcomes, pass/fail per layer."""
+class InstanceAudit(Record):
+    """All per-instance audit outcomes, pass/fail per layer; oracle_size is
+    None when the instance exceeds every oracle cap."""
 
-    algorithm_size: int
-    oracle_size: int | None  # None when the instance exceeds every oracle cap
-    validity_ok: bool
-    optimality_ok: bool
-    certificate: DiscrepancyCertificate | None
-    internal_error: str | None
+    __slots__ = (
+        "algorithm_size", "oracle_size", "validity_ok", "optimality_ok",
+        "certificate", "internal_error",
+    )
+
+    def __init__(
+        self, algorithm_size: int, oracle_size: int | None, validity_ok: bool,
+        optimality_ok: bool, certificate: DiscrepancyCertificate | None,
+        internal_error: str | None,
+    ) -> None:
+        self._fill(
+            algorithm_size, oracle_size, validity_ok, optimality_ok, certificate,
+            internal_error,
+        )
 
 
 def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> InstanceAudit:
@@ -251,24 +258,29 @@ def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> Ins
     )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    mode: str
-    max_n: int
-    count: int
-    seed: int
-    instances: int
-    oracle_checked: int
-    validity_failures: int
-    optimality_failures: int
-    internal_errors: tuple[str, ...]
-    certificates: tuple[DiscrepancyCertificate, ...]
-    certificate_files: tuple[str, ...]
-    fixture_name: str
-    fixture_algorithm_size: int
-    fixture_oracle_size: int
-    fixture_outcome: str  # "certificate" or "clean"
-    exit_code: int
+class VerifyReport(Record):
+    # fixture_outcome is "certificate" or "clean"
+    __slots__ = (
+        "mode", "max_n", "count", "seed", "instances", "oracle_checked",
+        "validity_failures", "optimality_failures", "internal_errors", "certificates",
+        "certificate_files", "fixture_name", "fixture_algorithm_size",
+        "fixture_oracle_size", "fixture_outcome", "exit_code",
+    )
+
+    def __init__(
+        self, mode: str, max_n: int, count: int, seed: int, instances: int,
+        oracle_checked: int, validity_failures: int, optimality_failures: int,
+        internal_errors: tuple[str, ...], certificates: tuple[DiscrepancyCertificate, ...],
+        certificate_files: tuple[str, ...], fixture_name: str,
+        fixture_algorithm_size: int, fixture_oracle_size: int, fixture_outcome: str,
+        exit_code: int,
+    ) -> None:
+        self._fill(
+            mode, max_n, count, seed, instances, oracle_checked, validity_failures,
+            optimality_failures, internal_errors, certificates, certificate_files,
+            fixture_name, fixture_algorithm_size, fixture_oracle_size, fixture_outcome,
+            exit_code,
+        )
 
     def to_json_text(self) -> str:
         payload = {

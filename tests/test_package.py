@@ -16,6 +16,8 @@ DEFINING = ("tree_model", "corpus", "forest_domination", "steiner_domination",
             "bench", "oracles", "verify")
 AUDIT_AND_BENCH = {"steinerdom.bench", "steinerdom.verify", "steinerdom.oracles",
                    "statistics", "tracemalloc"}
+# no command loads these: each costs milliseconds of start-up per call
+ON_NO_PATH = {"dataclasses", "inspect"}
 
 
 def _imports(argv, cwd):
@@ -42,11 +44,25 @@ def test_gen_and_solve_load_no_audit_or_bench_code(tmp_path):
         loaded = _imports(argv, tmp_path)
         assert "steinerdom.steiner_domination" in loaded, argv
         assert not loaded & AUDIT_AND_BENCH, argv
+        assert not loaded & ON_NO_PATH, argv
         # only the --json form loads json, which makes it the positive control
         assert ("json" in loaded) == ("--json" in argv), argv
     # the probe sees the modules a command does load
     loaded = _imports(["verify", "--mode", "exhaustive", "--max-n", "2"], tmp_path)
     assert {"steinerdom.verify", "steinerdom.oracles"} <= loaded
+    assert not loaded & ON_NO_PATH
+
+
+def test_gamma_forest_and_bench_load_no_dataclasses_or_inspect(tmp_path):
+    (tmp_path / "f.par").write_text("4\n0 1 0 3\n")
+    for argv, module in (
+        (["gamma-forest", "f.par", "--json"], "steinerdom.forest_domination"),
+        (["bench", "--sizes", "200", "400", "--reps", "3", "--out", "b.csv"],
+         "steinerdom.bench"),
+    ):
+        loaded = _imports(argv, tmp_path)
+        assert module in loaded, argv
+        assert not loaded & ON_NO_PATH, argv
 
 
 def test_every_export_is_the_object_its_module_holds(monkeypatch):

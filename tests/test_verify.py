@@ -1,6 +1,5 @@
 """Audit harness: per-instance audits, reports, certificates, revalidation."""
 
-import dataclasses
 import json
 
 import pytest
@@ -19,7 +18,7 @@ from steinerdom import (
     write_certificate,
 )
 from steinerdom import verify
-from steinerdom.steiner_domination import CoreForest
+from steinerdom.steiner_domination import CoreForest, SteinerDominationResult
 
 P5 = ParentArray(5, (0, 1, 1, 3, 4))
 GADGET_8 = fixture(AUDIT_FIXTURE)
@@ -36,6 +35,13 @@ GADGET_16_PADDED = (1, 2, 3, 7, 8, 9, 10, 15, 16)
 GADGET_16_CAPS = OracleCaps(steiner_dominating=8, steiner_dominating_pruned=16)
 # marks a sidecar field to delete rather than overwrite
 _MISSING = object()
+
+
+def _altered(res, **changes):
+    """The solver's result with some fields changed: a new result built
+    from res's fields and the changes."""
+    fields = {name: getattr(res, name) for name in SteinerDominationResult.__slots__}
+    return SteinerDominationResult(**{**fields, **changes})
 
 
 class TestAuditInstance:
@@ -78,7 +84,7 @@ class TestAuditChecksTheCore:
         monkeypatch.setattr(
             verify,
             "steiner_domination",
-            lambda pa: dataclasses.replace(solver(pa), **changes),
+            lambda pa: _altered(solver(pa), **changes),
         )
         pa = ParentArray(8, (0, 1, 2, 3, 4, 5, 6, 7))
         assert solver(pa).core_dominating_set == (3, 5)
@@ -94,9 +100,7 @@ class TestAuditChecksTheSet:
         monkeypatch.setattr(
             verify,
             "steiner_domination",
-            lambda pa: dataclasses.replace(
-                solver(pa), steiner_dominating_set=(2, 2, 3, 5), size=size
-            ),
+            lambda pa: _altered(solver(pa), steiner_dominating_set=(2, 2, 3, 5), size=size),
         )
         assert solver(P5).steiner_dominating_set == (2, 3, 5)
         assert not audit_instance(P5).validity_ok
