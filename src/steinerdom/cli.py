@@ -8,6 +8,7 @@ run that wrote discrepancy certificates.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -275,12 +276,23 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "bench": _cmd_bench,
 }
+# These commands build only acyclic data, so the cyclic collector would
+# find nothing to free; it runs with them paused.  verify's JSON output
+# leaves reference cycles behind, and bench times the passes as a library
+# caller runs them, so both keep the collector as they find it.
+_ACYCLIC = frozenset({"solve", "gamma-forest", "gen"})
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    pause = args.command in _ACYCLIC and gc.isenabled()
+    if pause:
+        gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a closed stdout fails here, as this command's error, not at exit
+        sys.stdout.flush()
+        return code
     except (TreeModelError, OSError) as exc:
         print(f"steinerdom {args.command}: error: {exc}", file=sys.stderr)
         return 1
@@ -290,6 +302,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    finally:
+        if pause:
+            gc.enable()
 
 
 if __name__ == "__main__":

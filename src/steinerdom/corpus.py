@@ -11,6 +11,7 @@ canonicalization so their output is independent of construction order.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Iterator
 from itertools import product
 
@@ -27,6 +28,12 @@ FAMILIES = (
 )
 
 ENUMERATION_MAX_N = 10
+
+# random_prufer_edges draws its labels from 32-bit words, so n < 2**32
+PRUFER_MAX_N = 2**32 - 1
+# words per getrandbits call in _randints: large enough that the calls are
+# few, small enough that the chunk's int and bytes stay at 64 kB each
+_DRAW_CHUNK = 1 << 14
 
 
 class GeneratorSpec(Record):
@@ -106,6 +113,32 @@ def _prufer_to_edges(n: int, seq: list[int]) -> EdgeList:
     return EdgeList._trusted(n, tuple(edges))
 
 
+def _randints(rng: random.Random, n: int, m: int) -> list[int]:
+    """``[rng.randint(1, n) for _ in range(m)]`` for 1 <= n < 2**32, drawn
+    in bulk.
+
+    randint(1, n) takes one k-bit draw, k = n.bit_length(), which is the
+    top k bits of one 32-bit Mersenne Twister word, and draws again while
+    the value is n or more.  getrandbits(32 * c) packs the next c words
+    least significant first, so splitting it into words and keeping those
+    below n << (32 - k) yields the same values from the same words.  Only
+    the stream after the m-th kept word differs, and the caller's rng is
+    not used again.
+    """
+    shift = 32 - n.bit_length()
+    bound = n << shift
+    out: list[int] = []
+    while len(out) < m:
+        c = min(m - len(out), _DRAW_CHUNK)
+        # in native byte order the words come out least significant first
+        # on a little-endian host and most significant first on a big one
+        words = memoryview(rng.getrandbits(32 * c).to_bytes(4 * c, sys.byteorder)).cast("I")
+        if sys.byteorder == "big":
+            words = words[::-1]
+        out += [(w >> shift) + 1 for w in words if w < bound]
+    return out
+
+
 def random_prufer_edges(n: int, seed: int) -> EdgeList:
     """A uniform random labeled tree on 1..n, before any relabeling.
 
@@ -115,12 +148,12 @@ def random_prufer_edges(n: int, seed: int) -> EdgeList:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if n > PRUFER_MAX_N:
+        raise ValidationError(f"prufer n must be <= {PRUFER_MAX_N} (2**32 - 1), got {n}")
     if n == 1:
         # the decode would join the lone vertex to itself
         return EdgeList(1, ())
-    rng = random.Random(seed)
-    seq = [rng.randint(1, n) for _ in range(n - 2)]
-    return _prufer_to_edges(n, seq)
+    return _prufer_to_edges(n, _randints(random.Random(seed), n, n - 2))
 
 
 def gen(spec: GeneratorSpec) -> ParentArray:

@@ -55,6 +55,16 @@ class Record:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *values: object) -> Record:
+        """A record of the given field values, in ``__slots__`` order,
+        built without the constructor's checks: for values that are valid
+        by construction, such as a decoded Prüfer sequence's edges or
+        relabel_bfs's parent array."""
+        record = object.__new__(cls)
+        record._fill(*values)
+        return record
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -137,14 +147,6 @@ class EdgeList(Record):
                 )
             seen.add(key)
         self._fill(n, edges)
-
-    @classmethod
-    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> EdgeList:
-        """An EdgeList built without the checks, for edges that are valid
-        by construction, such as a decoded Prüfer sequence's."""
-        el = object.__new__(cls)
-        el._fill(n, edges)
-        return el
 
 
 class AdjacencyTree(Record):
@@ -358,7 +360,8 @@ def relabel_bfs(
             f"edge ({u}, {v}) closes a cycle",
             pos,
         )
-    return ParentArray(n, tuple(parent)), tuple(new_of[1:])
+    # a vertex's parent was labelled before it, so every entry is in range
+    return ParentArray._trusted(n, tuple(parent)), tuple(new_of[1:])
 
 
 def _first_cycle_edge(n: int, edges: tuple[tuple[int, int], ...]) -> int:

@@ -1,13 +1,23 @@
 """Command-line surface: every subcommand, exit codes, pinned output shapes."""
 
 import csv
+import gc
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from steinerdom import CapExceededError, linearity_gate
+from steinerdom import CapExceededError, format_parent_file, linearity_gate, relabel_bfs
+from steinerdom import cli
 from steinerdom.bench import BenchRecord
 from steinerdom.cli import main
+from steinerdom.corpus import _prufer_to_edges
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 P5_PATH_PAR = "5\n0 1 2 3 4\n"
 STAR4_PAR = "4\n0 1 1 1\n"
@@ -216,6 +226,16 @@ class TestGen:
         assert run_cli(["gen", "--family", "wheel", "--n", "5"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_prufer_bytes_equal_the_randint_reference(self, seed, capsys):
+        # the sequence as one randint(1, n) call per entry draws it
+        n = 50_000
+        rng = random.Random(seed)
+        seq = [rng.randint(1, n) for _ in range(n - 2)]
+        expected = format_parent_file(relabel_bfs(_prufer_to_edges(n, seq))[0])
+        assert run_cli(["gen", "--family", "prufer", "--n", str(n), "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestVerify:
     def test_random_run_writes_report_and_fixture_certificate(self, tmp_path, capsys):
@@ -358,3 +378,138 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         assert run_cli(["prove"]) == 1
         capsys.readouterr()
+
+
+def _command_argv(command, tmp_path):
+    """A small valid call of each command, with its inputs in tmp_path."""
+    (tmp_path / "p5.par").write_text(P5_PATH_PAR)
+    (tmp_path / "p5.edg").write_text(P5_EDG)
+    return {
+        "solve": ["solve", str(tmp_path / "p5.edg"), "--json"],
+        "gamma-forest": ["gamma-forest", str(tmp_path / "p5.par")],
+        "gen": ["gen", "--family", "prufer", "--n", "30"],
+        "verify": ["verify", "--mode", "exhaustive", "--max-n", "3",
+                   "--report", str(tmp_path / "r.json")],
+        "bench": ["bench", "--sizes", "100", "200", "--reps", "3",
+                  "--out", str(tmp_path / "b.csv")],
+    }[command]
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after a test that changes it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollector:
+    """solve, gamma-forest and gen run with the cyclic collector paused;
+    verify and bench leave it alone; main always restores it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS) + ["failing solve"])
+    def test_state_is_restored(self, command, enabled, tmp_path, capsys, collector):
+        argv = (["solve", str(tmp_path / "missing.par")] if command == "failing solve"
+                else _command_argv(command, tmp_path))
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert run_cli(argv) in (0, 1, 2)
+        assert gc.isenabled() == enabled
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_paused_only_while_an_acyclic_command_runs(
+        self, command, tmp_path, monkeypatch, collector
+    ):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(gc.isenabled()) or 0)
+        gc.enable()
+        assert run_cli(_command_argv(command, tmp_path)) == 0
+        assert seen == [command not in ("solve", "gamma-forest", "gen")]
+
+    def test_no_collection_during_gen_or_edge_list_solve(self, tmp_path, capsys, collector):
+        collections = []
+
+        def probe(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        n = 20_000
+        edg = tmp_path / "t.edg"
+        edg.write_text(f"{n}\n" + "".join(f"{v} {v // 2}\n" for v in range(2, n + 1)))
+        gen_argv = ["gen", "--family", "prufer", "--n", str(n), "--seed", "3"]
+        gc.enable()
+        gc.callbacks.append(probe)
+        try:
+            # the control: the same generation, outside main, is collected
+            cli.format_parent_file(cli.gen(cli.GeneratorSpec("prufer", n=n, seed=3)))
+            assert collections
+            collections.clear()
+            assert run_cli(gen_argv) == 0
+            assert run_cli(["solve", str(edg), "--json"]) == 0
+        finally:
+            gc.callbacks.remove(probe)
+        assert collections == []
+        capsys.readouterr()
+
+
+def _child(argv, prefix=(), **kwargs):
+    """``python [prefix] -m steinerdom argv`` in a fresh process.  Its
+    stdout is buffered unless env sets PYTHONUNBUFFERED, so the process's
+    own flush is what writes the output."""
+    env = kwargs.pop("env", {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"})
+    path = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *prefix, "-m", "steinerdom", *argv],
+        env=dict(env, PYTHONPATH=path), stderr=subprocess.PIPE, timeout=120, **kwargs,
+    )
+
+
+class TestProcessExit:
+    """``python -m steinerdom`` leaves through os._exit, after flushing."""
+
+    def test_output_and_exit_codes_match_in_process_main(self, tmp_path, capsys):
+        cert_dir = str(tmp_path / "certs")
+        for argv, code in (
+            (["gen", "--family", "prufer", "--n", "3000", "--seed", "2"], 0),
+            # argparse prints the help and exits before main's own flush
+            (["gen", "--help"], 0),
+            (["gen", "--family", "path"], 1),
+            (["verify", "--mode", "exhaustive", "--max-n", "8", "--cert-dir", cert_dir], 2),
+        ):
+            proc = _child(argv, cwd=tmp_path)
+            assert run_cli(argv) == proc.returncode == code, argv
+            captured = capsys.readouterr()
+            assert proc.stdout.decode() == captured.out, argv
+            assert proc.stderr.decode() == captured.err, argv
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_is_a_one_line_error(self, unbuffered):
+        # buffered, the write fails at main's flush; unbuffered, at print
+        kwargs = {"env": dict(os.environ, PYTHONUNBUFFERED="1")} if unbuffered else {}
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "theorem1-audit-8.par"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        try:
+            proc = _child(["solve", str(fixture), "--json"], stdout=write_end, **kwargs)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("steinerdom solve: error: ")
+
+    def test_profiler_still_writes_its_output(self, tmp_path):
+        stats = tmp_path / "gen.prof"
+        proc = _child(["gen", "--family", "path", "--n", "10"],
+                      prefix=("-m", "cProfile", "-o", str(stats)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"10\n0 1 2 3 4 5 6 7 8 9\n"
+        assert stats.stat().st_size > 0

@@ -22,7 +22,8 @@ from steinerdom import (
     relabel_bfs,
     validate,
 )
-from steinerdom.corpus import _caterpillar_edges, _prufer_to_edges, _spider_edges
+from steinerdom import corpus
+from steinerdom.corpus import _caterpillar_edges, _prufer_to_edges, _randints, _spider_edges
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -202,6 +203,37 @@ class TestPruferDecode:
         sigma = math.sqrt(samples * (1 / trees) * (1 - 1 / trees))
         worst = max(abs(c - expected) for c in counts.values())
         assert worst <= 5 * sigma, f"worst deviation {worst:.1f} > 5 sigma {5*sigma:.1f}"
+
+
+# around each power of two the rejection rate of randint(1, n) jumps
+DRAW_NS = (3, 4, 5, 255, 256, 257, 65535, 65536, 65537,
+           2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1)
+
+
+class TestBulkDraws:
+    """random_prufer_edges draws its sequence in bulk; the draws must be
+    randint's, value for value, so every generated tree stays the same."""
+
+    @pytest.mark.parametrize("n", DRAW_NS)
+    @pytest.mark.parametrize("chunk", [7, corpus._DRAW_CHUNK])
+    def test_equal_to_randint(self, n, chunk, monkeypatch):
+        # a chunk of 7 words makes every request span many getrandbits calls
+        monkeypatch.setattr(corpus, "_DRAW_CHUNK", chunk)
+        for seed in (0, 1, 12345, 2**64 - 1):
+            for m in (0, 1, 2, 3, 50, 1000):
+                rng = random.Random(seed)
+                expected = [rng.randint(1, n) for _ in range(m)]
+                assert _randints(random.Random(seed), n, m) == expected, (seed, m)
+
+    def test_prufer_sequence_is_randints(self):
+        for n in (3, 4, 10, 1000):
+            rng = random.Random(n)
+            seq = [rng.randint(1, n) for _ in range(n - 2)]
+            assert random_prufer_edges(n, n) == _prufer_to_edges(n, seq)
+
+    def test_limit_is_named(self):
+        with pytest.raises(ValidationError, match="4294967295"):
+            random_prufer_edges(2**32, 0)
 
 
 class TestTrustedEdgeLists:

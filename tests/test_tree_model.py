@@ -288,13 +288,17 @@ def _outcome(relabel, n, edges):
 def test_relabel_bfs_against_reference_exhaustive(n):
     """Every simple graph with n - 1 edges on n <= 7 vertices, its edges in
     list order and reversed: relabel_bfs gives the reference's result, or
-    fails at the reference's edge."""
+    fails at the reference's edge.  Its unchecked ParentArray is one that
+    the checked constructor accepts unchanged."""
     cases = 0
     for chosen in combinations(combinations(range(1, n + 1), 2), n - 1):
         for edges in (chosen, chosen[::-1]):
             expected = _outcome(_reference_relabel, n, edges)
             got = _outcome(lambda n, e: relabel_bfs(EdgeList(n, e)), n, edges)
             assert got == expected, edges
+            if not isinstance(got, int):
+                pa = got[0]
+                assert ParentArray(pa.n, pa.parent) == pa == ParentArray._trusted(n, pa.parent)
             cases += 1
     assert cases == 2 * comb(n * (n - 1) // 2, n - 1)
 
