@@ -2,9 +2,10 @@
 """Run the canonical three-part audit campaign and collect the artifacts.
 
 Covers the same ground as the acceptance gate: every tree on up to 9
-vertices, 2,000 random trees within the unpruned oracle cap (n <= 16),
-and 2,000 more within the pruned cap (n <= 24).  Each part writes a JSON
-report and a directory of discrepancy certificates under --out.
+vertices, 2,000 random trees with n <= 16, within the unpruned oracle
+cap (n <= 18), and 2,000 more within the pruned cap (n <= 24).  Each part
+writes a JSON report and a directory of discrepancy certificates under
+--out.
 
 Exit code is the worst across the parts: 0 all clean, 2 discrepancy
 certificates were written (expected: the shipped fixture always produces

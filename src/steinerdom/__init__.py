@@ -37,9 +37,9 @@ from .tree_model import (
 _LAZY = {
     "bench": "DEFAULT_SIZES consecutive_ratios linearity_gate run_bench write_csv",
     "oracles": (
-        "CapExceededError OracleCaps SteinerTreeSpan domination_number_dp "
-        "induced_forest is_dominating_set is_steiner_set min_dominating_set "
-        "min_steiner_dominating_set steiner_distance steiner_number steiner_subtree"
+        "CapExceededError domination_number_dp induced_forest is_dominating_set "
+        "is_steiner_set min_dominating_set min_steiner_dominating_set "
+        "steiner_distance steiner_number steiner_subtree"
     ),
     "verify": (
         "AUDIT_FIXTURE DiscrepancyCertificate audit_instance "
@@ -73,10 +73,8 @@ __all__ = [
     "FIXTURES",
     "GeneratorSpec",
     "LabelState",
-    "OracleCaps",
     "ParentArray",
     "ParseError",
-    "SteinerTreeSpan",
     "TreeModelError",
     "ValidationError",
     "audit_instance",

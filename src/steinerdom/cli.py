@@ -210,7 +210,8 @@ def _cmd_verify(args) -> int:
         cert_dir = Path(args.report).resolve().parent / "certificates"
     else:
         cert_dir = Path("certificates")
-    # through the module attribute, which __getattr__ below fills in
+    # looked up through the module, so that a wrapper set on cli.run_verify
+    # is seen; without one, __getattr__ below loads verify's function
     report = sys.modules[__name__].run_verify(
         mode=args.mode,
         max_n=args.max_n,

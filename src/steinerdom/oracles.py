@@ -23,8 +23,8 @@ single-tree and vertex-range checks; the enumerations then test their
 candidates, valid by construction, without checking them again.
 
 Witnesses are deterministic: the first optimum in increasing size, then
-lexicographic order of the label tuple.  Size caps keep the exponential
-searches at desk scale; they are configuration, not logic.
+lexicographic order of the label tuple.  Fixed size caps, the constants
+below, keep the exponential searches at desk scale.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from itertools import combinations
 from .tree_model import (
     AdjacencyTree,
     ParentArray,
-    Record,
     TreeModelError,
     ValidationError,
     _check_vertices,
@@ -51,30 +50,11 @@ class CapExceededError(TreeModelError):
     """Instance larger than the enumeration cap for the requested oracle."""
 
 
-class OracleCaps(Record):
-    """Largest n each enumeration oracle will accept."""
-
-    __slots__ = (
-        "dominating", "steiner_dominating", "steiner_dominating_pruned", "steiner_number"
-    )
-
-    def __init__(
-        self, dominating: int = 20, steiner_dominating: int = 18,
-        steiner_dominating_pruned: int = 24, steiner_number: int = 18,
-    ) -> None:
-        self._fill(dominating, steiner_dominating, steiner_dominating_pruned, steiner_number)
-
-
-DEFAULT_CAPS = OracleCaps()
-
-
-class SteinerTreeSpan(Record):
-    """The unique minimal subtree spanning a terminal set in a tree."""
-
-    __slots__ = ("vertices", "edge_count")
-
-    def __init__(self, vertices: tuple[int, ...], edge_count: int) -> None:
-        self._fill(vertices, edge_count)
+# the largest n each exact oracle accepts
+DOMINATING_CAP = 20
+STEINER_DOMINATING_CAP = 18
+STEINER_DOMINATING_PRUNED_CAP = 24
+STEINER_NUMBER_CAP = 18
 
 
 def _prune_to_span(t: AdjacencyTree, w: tuple[int, ...]) -> tuple[bytearray, int]:
@@ -109,25 +89,25 @@ def _prune_to_span(t: AdjacencyTree, w: tuple[int, ...]) -> tuple[bytearray, int
     return alive, survivors
 
 
-def steiner_subtree(t: AdjacencyTree, w: tuple[int, ...]) -> SteinerTreeSpan:
-    """Minimal subtree of t spanning the non-empty vertex set w."""
+def steiner_subtree(t: AdjacencyTree, w: tuple[int, ...]) -> tuple[int, ...]:
+    """The vertices, ascending, of the minimal subtree of t spanning the
+    non-empty vertex set w."""
     validate(t)
     if not w:
         raise ValidationError("terminal set must be non-empty")
     _check_vertices(t.n, w)
-    alive, survivors = _prune_to_span(t, w)
-    vertices = tuple(v for v in range(1, t.n + 1) if alive[v])
-    return SteinerTreeSpan(vertices=vertices, edge_count=survivors - 1)
+    alive = _prune_to_span(t, w)[0]
+    return tuple(v for v in range(1, t.n + 1) if alive[v])
 
 
 def steiner_distance(t: AdjacencyTree, w: tuple[int, ...]) -> int:
     """Edge count of the minimal subtree spanning w; 0 for a single vertex."""
-    return steiner_subtree(t, w).edge_count
+    return len(steiner_subtree(t, w)) - 1
 
 
 def is_steiner_set(t: AdjacencyTree, w: tuple[int, ...]) -> bool:
     """True iff the minimal subtree spanning w covers every vertex."""
-    return len(steiner_subtree(t, w).vertices) == t.n
+    return len(steiner_subtree(t, w)) == t.n
 
 
 def is_dominating_set(t: AdjacencyTree, s: tuple[int, ...]) -> bool:
@@ -149,9 +129,7 @@ def _closed_masks(t: AdjacencyTree) -> list[int]:
     return masks
 
 
-def min_dominating_set(
-    f: AdjacencyTree, caps: OracleCaps = DEFAULT_CAPS
-) -> tuple[int, tuple[int, ...]]:
+def min_dominating_set(f: AdjacencyTree) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum dominating set of a forest.
 
     Every subset is tested at once, bit-sliced; the witness is the first
@@ -161,8 +139,8 @@ def min_dominating_set(
     n = f.n
     if n == 0:
         return 0, ()
-    if n > caps.dominating:
-        raise CapExceededError(f"n={n} exceeds dominating-set cap {caps.dominating}")
+    if n > DOMINATING_CAP:
+        raise CapExceededError(f"n={n} exceeds dominating-set cap {DOMINATING_CAP}")
     has, sizes = _subset_planes(n)
     return _first_optimum(n, _dominating_subsets(f, has), sizes)
 
@@ -176,7 +154,7 @@ def _subset_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     first label tuple is the highest bit.  ``has[v]`` marks the subsets
     that contain v (``has[0]``, no vertex, is 0) and ``sizes[k]`` those
     with k members.  Each of the 2n + 1 ints has 2^n bits, and the cache
-    keeps them for every n asked for, which the oracle caps bound.
+    keeps them for every n asked for, at most DOMINATING_CAP.
     """
     width = 1 << n
     full = (1 << width) - 1
@@ -319,7 +297,7 @@ def induced_forest(
 
 
 def min_steiner_dominating_set(
-    t: AdjacencyTree, prune: bool = False, caps: OracleCaps = DEFAULT_CAPS
+    t: AdjacencyTree, prune: bool = False
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum Steiner dominating set of a tree.
 
@@ -332,7 +310,7 @@ def min_steiner_dominating_set(
     """
     validate(t)
     n = t.n
-    cap = caps.steiner_dominating_pruned if prune else caps.steiner_dominating
+    cap = STEINER_DOMINATING_PRUNED_CAP if prune else STEINER_DOMINATING_CAP
     if n > cap:
         raise CapExceededError(
             f"n={n} exceeds Steiner-dominating cap {cap} (prune={prune})"
@@ -361,11 +339,11 @@ def min_steiner_dominating_set(
     return _first_optimum(n, valid, sizes)
 
 
-def steiner_number(t: AdjacencyTree, caps: OracleCaps = DEFAULT_CAPS) -> int:
+def steiner_number(t: AdjacencyTree) -> int:
     """Smallest size of a Steiner set, testing every subset bit-sliced."""
     validate(t)
     n = t.n
-    if n > caps.steiner_number:
-        raise CapExceededError(f"n={n} exceeds Steiner-number cap {caps.steiner_number}")
+    if n > STEINER_NUMBER_CAP:
+        raise CapExceededError(f"n={n} exceeds Steiner-number cap {STEINER_NUMBER_CAP}")
     has, sizes = _subset_planes(n)
     return _first_optimum(n, _spanning_subsets(t, has), sizes)[0]

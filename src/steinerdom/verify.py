@@ -31,8 +31,9 @@ from pathlib import Path
 from .corpus import ENUMERATION_MAX_N, FIXTURES, GeneratorSpec, enumerate_parent_arrays, gen
 from .forest_domination import forest_domination
 from .oracles import (
-    DEFAULT_CAPS,
-    OracleCaps,
+    DOMINATING_CAP,
+    STEINER_DOMINATING_CAP,
+    STEINER_DOMINATING_PRUNED_CAP,
     domination_number_dp,
     induced_forest,
     is_dominating_set,
@@ -116,9 +117,7 @@ def write_certificate(
 
 
 def revalidate_certificate(
-    par_path: str | Path,
-    json_path: str | Path,
-    caps: OracleCaps = DEFAULT_CAPS,
+    par_path: str | Path, json_path: str | Path
 ) -> DiscrepancyCertificate:
     """Re-derive a certificate from its files alone.
 
@@ -147,7 +146,7 @@ def revalidate_certificate(
             f"recomputed construction size {recomputed} != recorded {algorithm_size}"
         )
     cert = DiscrepancyCertificate(parents, algorithm_size, oracle_size, witness)
-    exact = _exact_steiner(build_adjacency(parents), caps)
+    exact = _exact_steiner(build_adjacency(parents))
     if exact is not None and exact[0] != oracle_size:
         raise ValidationError(
             f"recorded oracle size {oracle_size} but enumeration finds {exact[0]}"
@@ -166,15 +165,13 @@ def _sidecar_field(data: object, key: str, kind: type) -> int | tuple[int, ...]:
     return tuple(value) if kind is list else value
 
 
-def _exact_steiner(
-    t: AdjacencyTree, caps: OracleCaps
-) -> tuple[int, tuple[int, ...]] | None:
+def _exact_steiner(t: AdjacencyTree) -> tuple[int, tuple[int, ...]] | None:
     """The enumeration oracle's (size, witness): unpruned within its cap,
     pruned within the larger one, None beyond both."""
-    if t.n <= caps.steiner_dominating:
-        return min_steiner_dominating_set(t, caps=caps)
-    if t.n <= caps.steiner_dominating_pruned:
-        return min_steiner_dominating_set(t, prune=True, caps=caps)
+    if t.n <= STEINER_DOMINATING_CAP:
+        return min_steiner_dominating_set(t)
+    if t.n <= STEINER_DOMINATING_PRUNED_CAP:
+        return min_steiner_dominating_set(t, prune=True)
     return None
 
 
@@ -198,7 +195,7 @@ class InstanceAudit(Record):
         )
 
 
-def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> InstanceAudit:
+def audit_instance(parents: ParentArray) -> InstanceAudit:
     """Run all three audit layers on a single tree."""
     t = build_adjacency(parents)
     res = steiner_domination(parents)
@@ -219,9 +216,9 @@ def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> Ins
         res.core.to_tree == core_labels
         and len(core_local) == len(res.core_dominating_set) == domination_number_dp(core)
     )
-    if optimality_ok and core.n <= caps.dominating:
+    if optimality_ok and core.n <= DOMINATING_CAP:
         optimality_ok = (
-            len(core_local) == min_dominating_set(core, caps)[0]
+            len(core_local) == min_dominating_set(core)[0]
             and is_dominating_set(core, core_local)
         )
     whole = forest_domination(parents)
@@ -230,13 +227,13 @@ def audit_instance(parents: ParentArray, caps: OracleCaps = DEFAULT_CAPS) -> Ins
             len(whole) == domination_number_dp(t)
             and is_dominating_set(t, whole)
         )
-    if optimality_ok and parents.n <= caps.dominating:
-        optimality_ok = len(whole) == min_dominating_set(t, caps)[0]
+    if optimality_ok and parents.n <= DOMINATING_CAP:
+        optimality_ok = len(whole) == min_dominating_set(t)[0]
 
     oracle_size: int | None = None
     certificate: DiscrepancyCertificate | None = None
     internal_error: str | None = None
-    exact = _exact_steiner(t, caps)
+    exact = _exact_steiner(t)
     if exact is not None:
         oracle_size, witness = exact
         if oracle_size < res.size:
@@ -333,7 +330,6 @@ def run_verify(
     seed: int = 0,
     report_path: str | Path | None = None,
     cert_dir: str | Path | None = None,
-    caps: OracleCaps = DEFAULT_CAPS,
 ) -> VerifyReport:
     """Audit a corpus and the named fixture; optionally write files.
 
@@ -353,19 +349,13 @@ def run_verify(
             )
         count = 0  # exhaustive runs ignore the sample count
     else:
-        if not 2 <= max_n <= caps.steiner_dominating_pruned:
+        if not 2 <= max_n <= STEINER_DOMINATING_PRUNED_CAP:
             raise ValidationError(
-                f"random mode needs 2 <= max_n <= {caps.steiner_dominating_pruned} "
+                f"random mode needs 2 <= max_n <= {STEINER_DOMINATING_PRUNED_CAP} "
                 f"(the pruned oracle cap), got {max_n}"
             )
         if count < 1:
             raise ValidationError(f"random mode needs count >= 1, got {count}")
-    fixture_n = FIXTURES[AUDIT_FIXTURE].n
-    if caps.steiner_dominating < fixture_n:
-        raise ValidationError(
-            f"caps must allow the unpruned oracle through n={fixture_n} "
-            f"so the audit fixture can be decided"
-        )
 
     instances = 0
     oracle_checked = 0
@@ -395,11 +385,10 @@ def run_verify(
 
     for parents in _instance_stream(mode, max_n, count, seed):
         instances += 1
-        record(audit_instance(parents, caps))
+        record(audit_instance(parents))
 
-    fixture_audit = audit_instance(FIXTURES[AUDIT_FIXTURE], caps)
+    fixture_audit = audit_instance(FIXTURES[AUDIT_FIXTURE])
     record(fixture_audit, stem=AUDIT_FIXTURE)
-    assert fixture_audit.oracle_size is not None  # guaranteed by the caps check
     fixture_outcome = "certificate" if fixture_audit.certificate else "clean"
 
     exit_code = 0

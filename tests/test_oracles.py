@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from steinerdom import (
     CapExceededError,
     GeneratorSpec,
-    OracleCaps,
     ParentArray,
-    SteinerTreeSpan,
     ValidationError,
     build_adjacency,
     domination_number_dp,
@@ -31,7 +29,12 @@ from steinerdom import (
     steiner_subtree,
 )
 
-from steinerdom.oracles import _closed_masks, _prune_to_span, _subset_planes
+from steinerdom.oracles import (
+    DOMINATING_CAP,
+    _closed_masks,
+    _prune_to_span,
+    _subset_planes,
+)
 
 from conftest import adjacency, forest_arrays, path_array, tree_arrays
 
@@ -61,16 +64,16 @@ def bfs_distance(t, u, v):
 
 class TestSteinerSubtree:
     def test_p5_endpoints_span_everything(self):
-        assert steiner_subtree(P5, (1, 5)) == SteinerTreeSpan((1, 2, 3, 4, 5), 4)
+        assert steiner_subtree(P5, (1, 5)) == (1, 2, 3, 4, 5)
 
     def test_p5_subpath(self):
-        assert steiner_subtree(P5, (2, 4)) == SteinerTreeSpan((2, 3, 4), 2)
+        assert steiner_subtree(P5, (2, 4)) == (2, 3, 4)
 
     def test_star_passes_through_center(self):
-        assert steiner_subtree(STAR4, (2, 3)) == SteinerTreeSpan((1, 2, 3), 2)
+        assert steiner_subtree(STAR4, (2, 3)) == (1, 2, 3)
 
     def test_single_terminal(self):
-        assert steiner_subtree(P5, (3,)) == SteinerTreeSpan((3,), 0)
+        assert steiner_subtree(P5, (3,)) == (3,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -105,8 +108,9 @@ class TestSteinerSubtree:
         t = build_adjacency(pa)
         w = tuple(sorted(data.draw(st.sets(st.integers(1, pa.n), min_size=1))))
         span = steiner_subtree(t, w)
-        assert set(w) <= set(span.vertices)
-        assert span.edge_count == len(span.vertices) - 1
+        assert set(w) <= set(span)
+        assert span == tuple(sorted(set(span)))
+        assert steiner_distance(t, w) == len(span) - 1
 
 
 class TestIsSteinerSet:
@@ -175,9 +179,6 @@ class TestMinDominatingSet:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             min_dominating_set(build_adjacency(path_array(21)))
-        # caps are configuration: a larger budget admits the instance
-        big = OracleCaps(dominating=25)
-        assert min_dominating_set(build_adjacency(path_array(21)), big)[0] == 7
 
     @pytest.mark.parametrize("family", ["path", "binary", "prufer"])
     def test_at_the_cap_matches_the_dp(self, family):
@@ -220,14 +221,13 @@ class TestDominationDp:
     @pytest.mark.slow
     def test_concordance_random_forests(self):
         rng = random.Random(20240811)
-        caps = OracleCaps()
         for _ in range(2000):
-            n = rng.randint(1, caps.dominating - 2)
+            n = rng.randint(1, DOMINATING_CAP - 2)
             pa = ParentArray(
                 n, tuple(0 if i == 0 else rng.randint(0, i) for i in range(n))
             )
             f = build_adjacency(pa)
-            assert min_dominating_set(f, caps)[0] == domination_number_dp(f)
+            assert min_dominating_set(f)[0] == domination_number_dp(f)
 
 
 class TestInducedForest:

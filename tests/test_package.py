@@ -78,6 +78,16 @@ def test_every_export_is_the_object_its_module_holds(monkeypatch):
             assert vars(m)[name] is exported, (name, m.__name__)
 
 
+def test_every_lazy_name_is_exported_and_resolves(monkeypatch):
+    # a name left in _LAZY after its object is gone would fail only on use
+    for module, names in steinerdom._LAZY.items():
+        defining = importlib.import_module(f"steinerdom.{module}")
+        for name in names.split():
+            assert name in steinerdom.__all__, name
+            monkeypatch.delitem(vars(steinerdom), name, raising=False)
+            assert getattr(steinerdom, name) is vars(defining)[name], name
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError):
         steinerdom.no_such_name

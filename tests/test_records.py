@@ -10,12 +10,11 @@ from steinerdom import (
     DiscrepancyCertificate,
     EdgeList,
     GeneratorSpec,
-    OracleCaps,
     ParentArray,
-    SteinerTreeSpan,
     ValidationError,
     fixture,
 )
+from steinerdom import oracles
 from steinerdom.bench import BenchRecord
 from steinerdom.steiner_domination import CoreForest, SteinerDominationResult
 from steinerdom.tree_model import AdjacencyTree, Record
@@ -48,8 +47,6 @@ RECORDS = [
         "core",
         CoreForest(1, (3,)),
     ),
-    (OracleCaps, dict(dominating=20, steiner_number=18), "steiner_dominating", 7),
-    (SteinerTreeSpan, dict(vertices=(2, 3, 4), edge_count=2), "edge_count", 3),
     (
         DiscrepancyCertificate,
         dict(instance=GADGET_8, algorithm_size=5, oracle_size=4, oracle_witness=(1, 2, 7, 8)),
@@ -154,15 +151,13 @@ def test_repr_is_class_then_fields_in_order():
     assert repr(CoreForest(1, (3,))) == "CoreForest(m=1, to_tree=(3,))"
 
 
-def test_oracle_caps_defaults():
-    caps = OracleCaps()
+def test_oracle_caps_are_fixed_constants():
     assert (
-        caps.dominating,
-        caps.steiner_dominating,
-        caps.steiner_dominating_pruned,
-        caps.steiner_number,
+        oracles.DOMINATING_CAP,
+        oracles.STEINER_DOMINATING_CAP,
+        oracles.STEINER_DOMINATING_PRUNED_CAP,
+        oracles.STEINER_NUMBER_CAP,
     ) == (20, 18, 24, 18)
-    assert OracleCaps(steiner_dominating=7) == OracleCaps(20, 7, 24, 18)
 
 
 def test_trusted_edge_list_equals_checked():

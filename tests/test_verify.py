@@ -7,7 +7,6 @@ import pytest
 from steinerdom import (
     AUDIT_FIXTURE,
     DiscrepancyCertificate,
-    OracleCaps,
     ParentArray,
     ParseError,
     ValidationError,
@@ -31,8 +30,12 @@ GADGET_16_ALG = 10
 GADGET_16_MIN = 8
 GADGET_16_WITNESS = (1, 2, 7, 8, 9, 10, 15, 16)
 GADGET_16_PADDED = (1, 2, 3, 7, 8, 9, 10, 15, 16)
-# caps that route the 16-vertex instance to the fast pruned oracle
-GADGET_16_CAPS = OracleCaps(steiner_dominating=8, steiner_dominating_pruned=16)
+
+# 26 vertices, above every Steiner oracle cap: centre 1, pendant leaf 2 and
+# eight legs of length three, 3-11-19 through 10-18-26.  Its leaves span
+# it, and the centre dominates 3..10, so the minimum is 10; the
+# construction takes the leaves and the isolated core 3..10, 17 in all.
+SPIDER_26 = ParentArray(26, (0, 1, *[1] * 8, *range(3, 19)))
 # marks a sidecar field to delete rather than overwrite
 _MISSING = object()
 
@@ -62,10 +65,30 @@ class TestAuditInstance:
         assert audit.internal_error is None
 
     def test_oracle_skipped_beyond_caps(self):
-        caps = OracleCaps(steiner_dominating=4, steiner_dominating_pruned=4)
-        audit = audit_instance(P5, caps)
+        audit = audit_instance(SPIDER_26)
+        assert audit.algorithm_size == 17
         assert audit.oracle_size is None
         assert audit.certificate is None
+        assert audit.validity_ok and audit.optimality_ok
+
+    @pytest.mark.parametrize(
+        "n, routes",
+        [(18, [False]), (19, [True]), (24, [True]), (25, [])],
+        ids=["unpruned-18", "pruned-19", "pruned-24", "none-25"],
+    )
+    def test_steiner_oracle_route_at_the_caps(self, monkeypatch, n, routes):
+        # unpruned through n = 18, pruned through n = 24, none beyond
+        seen = []
+        oracle = verify.min_steiner_dominating_set
+
+        def spy(t, prune=False):
+            seen.append(prune)
+            return oracle(t, prune)
+
+        monkeypatch.setattr(verify, "min_steiner_dominating_set", spy)
+        audit = audit_instance(ParentArray(n, (0, *[1] * (n - 1))))
+        assert seen == routes
+        assert audit.oracle_size == (n - 1 if routes else None)
         assert audit.validity_ok and audit.optimality_ok
 
 
@@ -174,11 +197,6 @@ class TestRunVerifyValidation:
     def test_rejected_arguments(self, kwargs):
         with pytest.raises(ValidationError):
             run_verify(**kwargs)
-
-    def test_caps_must_cover_the_fixture(self):
-        caps = OracleCaps(steiner_dominating=7)
-        with pytest.raises(ValidationError, match="fixture"):
-            run_verify("random", max_n=7, count=5, caps=caps)
 
 
 class TestCertificateObjects:
@@ -300,21 +318,20 @@ class TestRevalidation:
         )
         par, sidecar = self._write(tmp_path, cert)
         with pytest.raises(ValidationError, match="enumeration finds 8"):
-            revalidate_certificate(par, sidecar, caps=GADGET_16_CAPS)
+            revalidate_certificate(par, sidecar)
 
     def test_honest_minimum_revalidates(self, tmp_path):
         cert = DiscrepancyCertificate(
             GADGET_16, GADGET_16_ALG, GADGET_16_MIN, GADGET_16_WITNESS
         )
         par, sidecar = self._write(tmp_path, cert)
-        assert revalidate_certificate(par, sidecar, caps=GADGET_16_CAPS) == cert
+        assert revalidate_certificate(par, sidecar) == cert
 
     def test_beyond_caps_skips_the_minimality_check(self, tmp_path):
-        # with both oracle caps below n the sidecar consistency checks still
-        # run, but minimality is accepted as recorded
-        cert = DiscrepancyCertificate(
-            GADGET_16, GADGET_16_ALG, GADGET_16_MIN + 1, GADGET_16_PADDED
-        )
+        # above both oracle caps the sidecar consistency checks still run,
+        # but minimality is accepted as recorded: the leaves, the centre and
+        # vertex 3 make a valid 11-vertex witness, one more than the minimum
+        witness = (1, 2, 3, *range(19, 27))
+        cert = DiscrepancyCertificate(SPIDER_26, 17, 11, witness)
         par, sidecar = self._write(tmp_path, cert)
-        caps = OracleCaps(steiner_dominating=8, steiner_dominating_pruned=8)
-        assert revalidate_certificate(par, sidecar, caps=caps) == cert
+        assert revalidate_certificate(par, sidecar) == cert
