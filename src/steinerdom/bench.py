@@ -44,12 +44,6 @@ class BenchRecord(Record):
 
     __slots__ = ("n", "algorithm", "ns_total_median", "ns_per_vertex", "peak_bytes")
 
-    def __init__(
-        self, n: int, algorithm: str, ns_total_median: int, ns_per_vertex: float,
-        peak_bytes: int,
-    ) -> None:
-        self._fill(n, algorithm, ns_total_median, ns_per_vertex, peak_bytes)
-
 
 def _measure(algorithm: str, parents: ParentArray, reps: int) -> tuple[int, int]:
     """(median ns, peak bytes) over reps timed runs plus one memory run."""

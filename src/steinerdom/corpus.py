@@ -54,7 +54,7 @@ class GeneratorSpec(Record):
             )
         if not 0 <= seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
-        self._fill(family, n, seed, legs, leg_length, spine, pattern)
+        super().__init__(family, n, seed, legs, leg_length, spine, pattern)
 
 
 def _require_n(spec: GeneratorSpec) -> int:

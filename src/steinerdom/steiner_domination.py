@@ -50,9 +50,6 @@ class CoreForest(Record):
 
     __slots__ = ("m", "to_tree")
 
-    def __init__(self, m: int, to_tree: tuple[int, ...]) -> None:
-        self._fill(m, to_tree)
-
 
 class SteinerDominationResult(Record):
     """Full trace of one run of the construction.
@@ -63,13 +60,6 @@ class SteinerDominationResult(Record):
     """
 
     __slots__ = ("leaves", "core", "core_dominating_set", "steiner_dominating_set", "size")
-
-    def __init__(
-        self, leaves: tuple[int, ...], core: CoreForest,
-        core_dominating_set: tuple[int, ...], steiner_dominating_set: tuple[int, ...],
-        size: int,
-    ) -> None:
-        self._fill(leaves, core, core_dominating_set, steiner_dominating_set, size)
 
 
 def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
@@ -100,9 +90,5 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     core_dom = forest_domination(parents, outside=in_nl)
     sd = tuple(sorted(leaves + core_dom))
     return SteinerDominationResult(
-        leaves=leaves,
-        core=CoreForest(m=len(to_tree), to_tree=to_tree),
-        core_dominating_set=core_dom,
-        steiner_dominating_set=sd,
-        size=len(sd),
+        leaves, CoreForest(len(to_tree), to_tree), core_dom, sd, len(sd)
     )

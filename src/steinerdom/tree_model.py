@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import not_
 
 
@@ -41,19 +41,32 @@ class ValidationError(TreeModelError):
 class Record:
     """An immutable value whose fields are its class's ``__slots__``.
 
-    Records of one class compare and hash by their field values, repr as
+    The constructor takes the fields in ``__slots__`` order, by position or
+    by name; only a record that checks its values defines its own
+    ``__init__``, which runs the checks and then calls this one.  Records
+    of one class compare and hash by their field values, repr as
     ``Class(field=value, ...)``, and copy and pickle through their
-    constructor.  Assigning or deleting an attribute raises AttributeError,
-    so a subclass's ``__init__`` runs its checks and then sets every field
-    at once with ``_fill``.
+    constructor.  Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
 
-    def _fill(self, *values: object) -> None:
-        """Set the fields to values, given in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values: object, **fields: object) -> None:
+        names, record = self.__slots__, type(self).__qualname__
+        if len(values) > len(names):
+            raise TypeError(f"{record} takes {len(names)} fields, got {len(values)} values")
+        # object.__setattr__ returns None, so any() binds every value
+        any(map(object.__setattr__, repeat(self), names, values))
+        for name, value in fields.items():
+            if name not in names[len(values):]:
+                raise TypeError(
+                    f"{record} got field {name!r} twice" if name in names
+                    else f"{record} has no field {name!r}"
+                )
             object.__setattr__(self, name, value)
+        if len(values) + len(fields) < len(names):
+            missing = [name for name in names[len(values):] if name not in fields]
+            raise TypeError(f"{record} is missing {', '.join(map(repr, missing))}")
 
     @classmethod
     def _trusted(cls, *values: object) -> Record:
@@ -62,7 +75,7 @@ class Record:
         by construction, such as a decoded Prüfer sequence's edges or
         relabel_bfs's parent array."""
         record = object.__new__(cls)
-        record._fill(*values)
+        Record.__init__(record, *values)
         return record
 
     def _values(self) -> tuple:
@@ -114,7 +127,7 @@ class ParentArray(Record):
                 raise ValidationError(
                     f"parent of vertex {idx + 1} is {p} (must be in 0..{idx})", idx
                 )
-        self._fill(n, parent)
+        super().__init__(n, parent)
 
     def roots(self) -> tuple[int, ...]:
         return _roots(self.parent)
@@ -146,7 +159,7 @@ class EdgeList(Record):
                     f"duplicate edge ({min(u, v)}, {max(u, v)})", pos
                 )
             seen.add(key)
-        self._fill(n, edges)
+        super().__init__(n, edges)
 
 
 class AdjacencyTree(Record):
@@ -157,12 +170,6 @@ class AdjacencyTree(Record):
     """
 
     __slots__ = ("n", "parent", "children", "degree")
-
-    def __init__(
-        self, n: int, parent: tuple[int, ...], children: tuple[tuple[int, ...], ...],
-        degree: tuple[int, ...],
-    ) -> None:
-        self._fill(n, parent, children, degree)
 
 
 def read_ascii_file(path: str | os.PathLike) -> str:
@@ -416,12 +423,7 @@ def build_adjacency(parents: ParentArray) -> AdjacencyTree:
     degree = tuple(
         len(kids[i]) + (1 if parents.parent[i] != 0 else 0) for i in range(n)
     )
-    return AdjacencyTree(
-        n=n,
-        parent=parents.parent,
-        children=tuple(tuple(k) for k in kids),
-        degree=degree,
-    )
+    return AdjacencyTree(n, parents.parent, tuple(tuple(k) for k in kids), degree)
 
 
 def leaf_set(t: AdjacencyTree) -> tuple[int, ...]:

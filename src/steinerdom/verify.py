@@ -87,7 +87,7 @@ class DiscrepancyCertificate(Record):
         t = build_adjacency(instance)
         if not (is_steiner_set(t, oracle_witness) and is_dominating_set(t, oracle_witness)):
             raise ValidationError("certificate witness failed a definitional check")
-        self._fill(instance, algorithm_size, oracle_size, oracle_witness)
+        super().__init__(instance, algorithm_size, oracle_size, oracle_witness)
 
 
 def _certificate_json(cert: DiscrepancyCertificate) -> str:
@@ -184,16 +184,6 @@ class InstanceAudit(Record):
         "certificate", "internal_error",
     )
 
-    def __init__(
-        self, algorithm_size: int, oracle_size: int | None, validity_ok: bool,
-        optimality_ok: bool, certificate: DiscrepancyCertificate | None,
-        internal_error: str | None,
-    ) -> None:
-        self._fill(
-            algorithm_size, oracle_size, validity_ok, optimality_ok, certificate,
-            internal_error,
-        )
-
 
 def audit_instance(parents: ParentArray) -> InstanceAudit:
     """Run all three audit layers on a single tree."""
@@ -246,38 +236,19 @@ def audit_instance(parents: ParentArray) -> InstanceAudit:
                 f"{oracle_size} on {list(parents.parent)}"
             )
     return InstanceAudit(
-        algorithm_size=res.size,
-        oracle_size=oracle_size,
-        validity_ok=validity_ok,
-        optimality_ok=optimality_ok,
-        certificate=certificate,
-        internal_error=internal_error,
+        res.size, oracle_size, validity_ok, optimality_ok, certificate, internal_error
     )
 
 
 class VerifyReport(Record):
-    # fixture_outcome is "certificate" or "clean"
+    """A verify run's totals; fixture_outcome is "certificate" or "clean"."""
+
     __slots__ = (
         "mode", "max_n", "count", "seed", "instances", "oracle_checked",
         "validity_failures", "optimality_failures", "internal_errors", "certificates",
         "certificate_files", "fixture_name", "fixture_algorithm_size",
         "fixture_oracle_size", "fixture_outcome", "exit_code",
     )
-
-    def __init__(
-        self, mode: str, max_n: int, count: int, seed: int, instances: int,
-        oracle_checked: int, validity_failures: int, optimality_failures: int,
-        internal_errors: tuple[str, ...], certificates: tuple[DiscrepancyCertificate, ...],
-        certificate_files: tuple[str, ...], fixture_name: str,
-        fixture_algorithm_size: int, fixture_oracle_size: int, fixture_outcome: str,
-        exit_code: int,
-    ) -> None:
-        self._fill(
-            mode, max_n, count, seed, instances, oracle_checked, validity_failures,
-            optimality_failures, internal_errors, certificates, certificate_files,
-            fixture_name, fixture_algorithm_size, fixture_oracle_size, fixture_outcome,
-            exit_code,
-        )
 
     def to_json_text(self) -> str:
         payload = {

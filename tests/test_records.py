@@ -146,6 +146,46 @@ class TestValueSemantics:
             assert f"{field}=" in text
 
 
+# GeneratorSpec defaults every field after family
+REQUIRED_FIELDS = {GeneratorSpec: 1}
+
+
+def test_only_the_checking_records_define_a_constructor():
+    assert {cls for cls in Record.__subclasses__() if "__init__" in vars(cls)} == {
+        ParentArray, EdgeList, GeneratorSpec, DiscrepancyCertificate,
+    }
+
+
+@pytest.mark.parametrize(("cls", "fields", "name", "other"), RECORDS, ids=IDS)
+def test_one_constructor_binds_by_position_and_by_name(cls, fields, name, other):
+    names = cls.__slots__
+    values = cls(**fields)._values()
+    by_name = dict(zip(names, values))
+    half = len(names) // 2
+    by_position = cls(*values)
+    assert cls(**by_name) == by_position
+    assert cls(*values[:half], **dict(zip(names[half:], values[half:]))) == by_position
+    assert by_position._values() == values
+
+    # each wrong call, and the field its TypeError names (Python's own
+    # messages name it too, for the records that define __init__)
+    required = REQUIRED_FIELDS.get(cls, len(names))
+    first = names[0]
+    wrong = [
+        (lambda: cls(**{k: v for k, v in by_name.items() if k != first}), first),
+        (lambda: cls(*values, bogus=other), "bogus"),
+        (lambda: cls(*values[:1], **by_name), first),
+        (lambda: cls(*values, other), None),
+        (lambda: cls(*values[: required - 1]), names[required - 1]),
+    ]
+    for build, field in wrong:
+        with pytest.raises(TypeError) as exc:
+            build()
+        assert cls.__name__ in str(exc.value)
+        if field is not None:
+            assert repr(field) in str(exc.value)
+
+
 def test_repr_is_class_then_fields_in_order():
     assert repr(ParentArray(2, (0, 1))) == "ParentArray(n=2, parent=(0, 1))"
     assert repr(CoreForest(1, (3,))) == "CoreForest(m=1, to_tree=(3,))"
