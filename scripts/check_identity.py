@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Run the same steinerdom calls in two checkouts and diff everything they write.
+
+    python3 scripts/check_identity.py --parent OLD --change NEW [--python EXE]
+
+OLD and NEW are checkouts (each with its own src/).  Every call is
+``EXE -m steinerdom ...`` with ``PYTHONPATH=<checkout>/src``, run in a fresh
+directory that holds copies of the same input files, which this script
+writes itself.  Both sides run in the same path, one after the other, so
+that a path a call prints reads the same.  For each call it compares
+stdout, stderr, the exit code and every file the call wrote, and prints
+one line: ``same`` or ``DIFF`` with what differed.  It exits 1 if any call
+differed.  EXE defaults to the interpreter running this script; the CLI
+needs only the standard library.
+"""
+
+import argparse
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FAMILIES = {
+    "path": ["--n", "300"],
+    "star": ["--n", "300"],
+    "spider": ["--legs", "4", "--leglen", "5"],
+    "caterpillar": ["--spine", "40", "--pattern", "2,0,1"],
+    "binary": ["--n", "300"],
+    "prufer": ["--n", "2000", "--seed", "3"],
+    "random_parent": ["--n", "300", "--seed", "3"],
+}
+
+
+def inputs() -> dict[str, bytes]:
+    """The input files, by name: valid trees and forests, then the five
+    exit-1 cases."""
+    rng = random.Random(14)
+    n = 2000
+    parent = [0] + [rng.randint(1, i) for i in range(1, n)]
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    edges = [(label[v - 1], label[p - 1]) for v, p in enumerate(parent, start=1) if p]
+    rng.shuffle(edges)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "theorem1-audit-8.par"
+    return {
+        "fixture.par": fixture.read_bytes(),
+        "tree.par": f"{n}\n{' '.join(map(str, parent))}\n".encode(),
+        "tree.edg": (f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)).encode(),
+        "forest.par": b"9\n0 1 0 3 3 0 6 7 0\n",
+        "non-ascii.par": "3\n0 1 é\n".encode(),
+        "bare-cr.par": b"3\n0 1\r1\n",
+        "second-root.par": b"3\n0 1 0\n",
+        "duplicate-edge.edg": b"4\n1 2\n2 3\n2 1\n",
+        "over-cap.par": b"2\n0 " + b"1" * 5000 + b"\n",
+    }
+
+
+def calls() -> list[list[str]]:
+    out = []
+    for name in ("fixture.par", "tree.par", "tree.edg"):
+        out += [["solve", name], ["solve", name, "--json"]]
+    out += [["gamma-forest", "forest.par"], ["gamma-forest", "forest.par", "--json"]]
+    out += [["gen", "--family", family, *args] for family, args in FAMILIES.items()]
+    out.append(["gen", "--family", "prufer", "--n", "500", "--out", "out/gen.par"])
+    out.append(["verify", "--mode", "exhaustive", "--max-n", "7", "--report", "report.json"])
+    out.append(["verify", "--mode", "random", "--max-n", "16", "--count", "60",
+                "--seed", "1", "--report", "report.json"])
+    for name in ("non-ascii.par", "bare-cr.par", "second-root.par",
+                 "duplicate-edge.edg", "over-cap.par"):
+        out.append(["solve", name])
+    return out
+
+
+def run(checkout: Path, python: str, argv: list[str], files: dict[str, bytes],
+        work: Path) -> tuple:
+    """One call in a fresh directory: (stdout, stderr, exit code, written files)."""
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    for name, data in files.items():
+        (work / name).write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([python, "-m", "steinerdom", *argv], cwd=work, env=env,
+                          capture_output=True, timeout=600)
+    written = {
+        name: path.read_bytes()
+        for path in sorted(work.rglob("*"))
+        if path.is_file() and (name := str(path.relative_to(work))) not in files
+    }
+    return proc.stdout, proc.stderr, proc.returncode, written
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--python", default=sys.executable)
+    args = parser.parse_args()
+    files = inputs()
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in calls():
+            old, new = (run(side.resolve(), args.python, argv, files, Path(tmp) / "work")
+                        for side in (args.parent, args.change))
+            what = [part for part, a, b in zip(("stdout", "stderr", "exit code"), old, new)
+                    if a != b]
+            what += [f"file {name}" for name in sorted(old[3].keys() | new[3].keys())
+                     if old[3].get(name) != new[3].get(name)]
+            differ += bool(what)
+            status = f"DIFF ({', '.join(what)})" if what else "same"
+            print(f"{status}  exit {old[2]}  {len(old[3])} files  "
+                  f"steinerdom {' '.join(argv)}", flush=True)
+    print(f"{differ} of {len(calls())} calls differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

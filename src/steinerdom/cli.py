@@ -19,6 +19,7 @@ from .tree_model import (
     ParseError,
     TreeModelError,
     ValidationError,
+    _join_ints,
     format_parent_file,
     parse_edge_list,
     parse_parent_file,
@@ -112,7 +113,8 @@ def _solve_file(path_text: str, fmt: str):
             fmt = "edg"
         else:
             raise TreeModelError(
-                f"cannot infer format of {path.name!r}; pass --format par|edg"
+                f"cannot infer format of {path.name or path_text!r}; "
+                "pass --format par|edg"
             )
     text = read_ascii_file(path)
     try:
@@ -130,48 +132,42 @@ def _solve_file(path_text: str, fmt: str):
         raise ParseError(f"line {line}: {exc}") from None
 
 
+# json.dumps of the payloads, as fixed templates: solve and gamma-forest
+# print ints and int lists only, so they need not load json
+_SOLVE_JSON = (
+    '{"n": %d, "leaves": [%s], "h_vertices": [%s], "gamma_h": %d, '
+    '"steiner_dominating_set": [%s], "size": %d, "formula_value": %d}'
+)
+_SOLVE_TEXT = (
+    "n: %d\nleaves: %s\ncore vertices: %s\ncore domination number: %d\n"
+    "steiner dominating set: %s\nsize: %d\nformula value: %d"
+)
+_FOREST_JSON = '{"n": %d, "dominating_set": [%s], "size": %d}'
+_FOREST_TEXT = "n: %d\ndominating set: %s\nsize: %d"
+
+
 def _cmd_solve(args) -> int:
     parents, res = _solve_file(args.input, args.format)
-    if args.json:
-        import json  # only the JSON forms need it; a text run skips the import
-
-        payload = {
-            "n": parents.n,
-            "leaves": res.leaves,
-            "h_vertices": res.core.to_tree,
-            "gamma_h": len(res.core_dominating_set),
-            "steiner_dominating_set": res.steiner_dominating_set,
-            "size": res.size,
-            "formula_value": res.size,  # len(leaves) + gamma_h, always the size
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"n: {parents.n}")
-        print(f"leaves: {' '.join(map(str, res.leaves))}")
-        print(f"core vertices: {' '.join(map(str, res.core.to_tree))}")
-        print(f"core domination number: {len(res.core_dominating_set)}")
-        print(f"steiner dominating set: {' '.join(map(str, res.steiner_dominating_set))}")
-        print(f"size: {res.size}")
-        print(f"formula value: {res.size}")
+    sep = ", " if args.json else " "
+    template = _SOLVE_JSON if args.json else _SOLVE_TEXT
+    print(template % (
+        parents.n,
+        _join_ints(res.leaves, sep),
+        _join_ints(res.core.to_tree, sep),
+        len(res.core_dominating_set),
+        _join_ints(res.steiner_dominating_set, sep),
+        res.size,
+        res.size,  # formula_value: len(leaves) + gamma_h, always the size
+    ))
     return 0
 
 
 def _cmd_gamma_forest(args) -> int:
     parents = parse_parent_file(read_ascii_file(args.input))
     dom = forest_domination(parents)
-    if args.json:
-        import json
-
-        payload = {
-            "n": parents.n,
-            "dominating_set": dom,
-            "size": len(dom),
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"n: {parents.n}")
-        print(f"dominating set: {' '.join(map(str, dom))}")
-        print(f"size: {len(dom)}")
+    sep = ", " if args.json else " "
+    template = _FOREST_JSON if args.json else _FOREST_TEXT
+    print(template % (parents.n, _join_ints(dom, sep), len(dom)))
     return 0
 
 

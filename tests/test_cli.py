@@ -11,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from steinerdom import CapExceededError, format_parent_file, linearity_gate, relabel_bfs
+from steinerdom import (
+    CapExceededError,
+    ParentArray,
+    format_parent_file,
+    linearity_gate,
+    relabel_bfs,
+)
 from steinerdom import cli
 from steinerdom.bench import BenchRecord
 from steinerdom.cli import main
@@ -99,6 +105,13 @@ class TestSolve:
         assert run_cli(["solve", str(path), "--format", "edg", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["size"] == 3
 
+    def test_a_path_without_a_name_is_named_as_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["solve", "."]) == 1
+        assert capsys.readouterr().err == (
+            "steinerdom solve: error: cannot infer format of '.'; pass --format par|edg\n"
+        )
+
     def test_unknown_suffix_needs_explicit_format(self, tmp_path, capsys):
         path = tmp_path / "edges.txt"
         path.write_text(P5_EDG)
@@ -177,6 +190,88 @@ class TestGammaForest:
     def test_single_tree_is_a_forest_too(self, p5_par, capsys):
         assert run_cli(["gamma-forest", str(p5_par), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["size"] == 2
+
+
+def _old_solve_output(parents, res, as_json):
+    """solve's output as json.dumps and ' '.join(map(str, ...)) wrote it."""
+    if as_json:
+        return json.dumps({
+            "n": parents.n,
+            "leaves": res.leaves,
+            "h_vertices": res.core.to_tree,
+            "gamma_h": len(res.core_dominating_set),
+            "steiner_dominating_set": res.steiner_dominating_set,
+            "size": res.size,
+            "formula_value": res.size,
+        }) + "\n"
+    return "".join(line + "\n" for line in (
+        f"n: {parents.n}",
+        f"leaves: {' '.join(map(str, res.leaves))}",
+        f"core vertices: {' '.join(map(str, res.core.to_tree))}",
+        f"core domination number: {len(res.core_dominating_set)}",
+        f"steiner dominating set: {' '.join(map(str, res.steiner_dominating_set))}",
+        f"size: {res.size}",
+        f"formula value: {res.size}",
+    ))
+
+
+class TestWriterMatchesReference:
+    """solve and gamma-forest write the bytes that json.dumps and
+    ' '.join(map(str, ...)) wrote, from their own templates."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["k1.par", "k2.edg", "star.par", "fixture.par", "prufer2000.par"],
+    )
+    def test_solve(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        if name == "fixture.par":
+            text = (Path(__file__).resolve().parent.parent / "fixtures"
+                    / "theorem1-audit-8.par").read_text()
+        elif name == "prufer2000.par":
+            rng = random.Random(5)
+            seq = [rng.randint(1, 2000) for _ in range(1998)]
+            text = format_parent_file(relabel_bfs(_prufer_to_edges(2000, seq))[0])
+        else:
+            text = {"k1.par": "1\n0\n", "k2.edg": "2\n1 2\n", "star.par": STAR4_PAR}[name]
+        path.write_text(text)
+        parents, res = cli._solve_file(str(path), "auto")
+        if name == "star.par":
+            assert res.core.to_tree == ()
+        for as_json in (True, False):
+            assert run_cli(["solve", str(path)] + ["--json"] * as_json) == 0
+            assert capsys.readouterr().out == _old_solve_output(parents, res, as_json)
+
+    def test_gamma_forest(self, tmp_path, capsys):
+        path = tmp_path / "forest.par"
+        path.write_text("9\n0 1 0 3 3 0 6 7 0\n")
+        parents = cli.parse_parent_file(path.read_text())
+        dom = cli.forest_domination(parents)
+        assert len(parents.roots()) == 4
+        assert run_cli(["gamma-forest", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            {"n": parents.n, "dominating_set": dom, "size": len(dom)}
+        ) + "\n"
+        assert run_cli(["gamma-forest", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"n: {parents.n}\ndominating set: {' '.join(map(str, dom))}\n"
+            f"size: {len(dom)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            ParentArray(1, (0,)),
+            ParentArray(2, (0, 1)),
+            ParentArray(50_000, tuple(random.Random(7).randint(0, i) for i in range(50_000))),
+            ParentArray(4, [0, 1, 1, 3]),
+        ],
+        ids=["n=1", "n=2", "n=5e4", "list-parent"],
+    )
+    def test_format_parent_file(self, parents):
+        assert format_parent_file(parents) == (
+            f"{parents.n}\n{' '.join(str(p) for p in parents.parent)}\n"
+        )
 
 
 class TestGen:

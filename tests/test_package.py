@@ -45,11 +45,11 @@ def test_gen_and_solve_load_no_audit_or_bench_code(tmp_path):
         assert "steinerdom.steiner_domination" in loaded, argv
         assert not loaded & AUDIT_AND_BENCH, argv
         assert not loaded & ON_NO_PATH, argv
-        # only the --json form loads json, which makes it the positive control
-        assert ("json" in loaded) == ("--json" in argv), argv
+        # solve --json writes its line from a template, not through json
+        assert "json" not in loaded, argv
     # the probe sees the modules a command does load
     loaded = _imports(["verify", "--mode", "exhaustive", "--max-n", "2"], tmp_path)
-    assert {"steinerdom.verify", "steinerdom.oracles"} <= loaded
+    assert {"steinerdom.verify", "steinerdom.oracles", "json"} <= loaded
     assert not loaded & ON_NO_PATH
 
 
@@ -63,6 +63,8 @@ def test_gamma_forest_and_bench_load_no_dataclasses_or_inspect(tmp_path):
         loaded = _imports(argv, tmp_path)
         assert module in loaded, argv
         assert not loaded & ON_NO_PATH, argv
+        # gamma-forest --json writes from a template and bench writes CSV
+        assert "json" not in loaded, argv
 
 
 def test_every_export_is_the_object_its_module_holds(monkeypatch):

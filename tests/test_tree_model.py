@@ -1,5 +1,6 @@
 """Data model: parsing, validation, relabeling, neighborhood primitives."""
 
+import sys
 from collections import deque
 from itertools import combinations
 from math import comb
@@ -25,6 +26,7 @@ from steinerdom import (
     to_edge_list,
     validate,
 )
+from steinerdom import tree_model
 
 from conftest import adjacency, forest_arrays, path_array, star_array, tree_arrays
 
@@ -172,6 +174,93 @@ def test_any_text_parses_or_names_a_line(parse, text):
         parse(text)
     except ParseError as exc:
         assert str(exc).startswith("line ")
+
+
+CHUNK = tree_model._TOKEN_CHUNK
+N_PATH = CHUNK // 2
+PATH_PARENT = (0,) + tuple(range(1, N_PATH))
+
+
+def _path_par(pad: int) -> str:
+    """A path's .par text, over twice the token chunk, with ``pad`` spaces
+    after the root's entry: their width places the first chunk's end."""
+    return f"{N_PATH}\n0" + " " * pad + " ".join(map(str, PATH_PARENT[1:])) + "\n"
+
+
+def _par_with_a_token_across_the_chunk_end() -> str:
+    for pad in range(1, 7):
+        text = _path_par(pad)
+        if text[CHUNK - 1:CHUNK + 1].isdigit():
+            return text
+    raise AssertionError("no width of the first separator cuts a token")
+
+
+class TestLexChunks:
+    """The tokens are split from the text in chunks that end after a
+    space; no token may be cut or lost at a chunk's end."""
+
+    def test_token_across_the_chunk_end(self):
+        text = _par_with_a_token_across_the_chunk_end()
+        assert len(text) > 2 * CHUNK
+        assert parse_parent_file(text).parent == PATH_PARENT
+
+    def test_run_of_spaces_at_the_chunk_end(self):
+        text = _path_par(CHUNK + 2 - len(f"{N_PATH}\n0"))
+        assert text[CHUNK - 1:CHUNK + 2] == "   "
+        assert parse_parent_file(text).parent == PATH_PARENT
+
+    def test_tab_only_separators(self):
+        n = CHUNK // 2
+        text = f"{n}\n" + "\t".join(map(str, range(n))) + "\n"
+        assert len(text) > 2 * CHUNK
+        assert parse_parent_file(text).parent == tuple(range(n))
+        assert parse_edge_list("3\n1\t2\n\t2\t3\t\n").edges == ((1, 2), (2, 3))
+
+    def test_leading_zeros(self):
+        assert parse_parent_file("008\n0 01 1 001 1 1 1 007\n").parent == (
+            0, 1, 1, 1, 1, 1, 1, 7,
+        )
+
+    def test_crlf_across_chunks(self):
+        text = _par_with_a_token_across_the_chunk_end()
+        assert parse_parent_file(text.replace("\n", "\r\n")).parent == PATH_PARENT
+        n = CHUNK // 4
+        edg = f"{n}\r\n" + "".join(f"{v} {v - 1}\r\n" for v in range(2, n + 1))
+        assert parse_edge_list(edg).edges == tuple((v, v - 1) for v in range(2, n + 1))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8])
+    @given(tree=tree_arrays(min_n=1, max_n=40), seps=st.lists(
+        st.sampled_from([" ", "  ", "\t", " \t", "\t "]), min_size=40, max_size=40))
+    def test_any_chunk_size_reads_the_same_tokens(self, chunk, tree, seps):
+        text = f"{tree.n}\n" + "".join(
+            sep + str(p) for sep, p in zip(seps, tree.parent)) + " \n"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree_model, "_TOKEN_CHUNK", chunk)
+            assert parse_parent_file(text) == tree
+
+    def test_non_ascii_str_names_the_character(self):
+        with pytest.raises(ParseError) as info:
+            parse_parent_file("3\n0 1 \uff12\n")
+        assert str(info.value) == (
+            "line 2: character '\uff12' is not a digit, space or tab"
+        )
+        # the first character outside the grammar is named, ASCII or not
+        with pytest.raises(ParseError) as info:
+            parse_parent_file("2\n\n0 \xe9 x\n")
+        assert str(info.value) == "line 3: character '\xe9' is not a digit, space or tab"
+
+    def test_over_cap_integer_in_a_late_chunk_names_its_line(self):
+        limit = sys.get_int_max_str_digits()
+        n = CHUNK // 2
+        lines = [f"{v} {v - 1}" for v in range(2, n + 1)]
+        lines[-3] = f"{n} {'1' * (limit + 1)}"
+        text = f"{n}\n" + "\n".join(lines) + "\n"
+        assert text.index("1" * (limit + 1)) > 2 * CHUNK
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == (
+            f"line {n - 2}: an integer has more digits than Python's limit of {limit}"
+        )
 
 
 class TestRelabelBfs:
