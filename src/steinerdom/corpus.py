@@ -3,9 +3,10 @@ exhaustive small-instance streams.
 
 Random families are deterministic in (family, n, params, seed).  The
 prufer family samples uniformly over labeled trees by decoding a uniform
-random Prüfer sequence, then canonicalizes through relabel_bfs; families
-built from explicit edge lists (spider, caterpillar) go through the same
-canonicalization so their output is independent of construction order.
+random Prüfer sequence straight into adjacency rows, then canonicalizes
+them with relabel_bfs's BFS; families built from explicit edge lists
+(spider, caterpillar) go through relabel_bfs itself, so their output is
+independent of construction order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 from collections.abc import Iterator
 from itertools import product
 
-from .tree_model import EdgeList, ParentArray, Record, ValidationError, relabel_bfs
+from .tree_model import (EdgeList, ParentArray, Record, ValidationError, _relabel_rows,
+                         relabel_bfs)
 
 FAMILIES = (
     "path",
@@ -89,18 +91,20 @@ def _caterpillar_edges(spine: int, pattern: tuple[int, ...]) -> EdgeList:
     return EdgeList._trusted(n, tuple(edges))
 
 
-def _prufer_to_edges(n: int, seq: list[int]) -> EdgeList:
-    """Decode a Prüfer sequence into its labeled tree, O(n) pointer scan."""
+def _prufer_rows(n: int, seq: list[int]) -> list[list[int]]:
+    """Decode a Prüfer sequence into its labeled tree's adjacency rows,
+    ``rows[v]`` for v in 1..n and an empty ``rows[0]``; O(n) pointer scan."""
     deg = [1] * (n + 1)
     for x in seq:
         deg[x] += 1
-    edges = []
+    rows: list[list[int]] = [[] for _ in range(n + 1)]
     ptr = 1
     while deg[ptr] != 1:
         ptr += 1
     leaf = ptr
     for x in seq:
-        edges.append((leaf, x) if leaf < x else (x, leaf))
+        rows[leaf].append(x)
+        rows[x].append(leaf)
         deg[x] -= 1
         if deg[x] == 1 and x < ptr:
             leaf = x
@@ -109,8 +113,9 @@ def _prufer_to_edges(n: int, seq: list[int]) -> EdgeList:
             while deg[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n))
-    return EdgeList._trusted(n, tuple(edges))
+    rows[leaf].append(n)
+    rows[n].append(leaf)
+    return rows
 
 
 def _randints(rng: random.Random, n: int, m: int) -> list[int]:
@@ -139,21 +144,31 @@ def _randints(rng: random.Random, n: int, m: int) -> list[int]:
     return out
 
 
-def random_prufer_edges(n: int, seed: int) -> EdgeList:
-    """A uniform random labeled tree on 1..n, before any relabeling.
-
-    Exposed separately from gen() so the uniformity of the raw labeled
-    distribution stays observable; gen() canonicalizes and therefore
-    collapses label classes.
-    """
+def _random_prufer_rows(n: int, seed: int) -> list[list[int]]:
+    """The adjacency rows, as _prufer_rows gives them, of a uniform random
+    labeled tree on 1..n."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if n > PRUFER_MAX_N:
         raise ValidationError(f"prufer n must be <= {PRUFER_MAX_N} (2**32 - 1), got {n}")
     if n == 1:
         # the decode would join the lone vertex to itself
-        return EdgeList(1, ())
-    return _prufer_to_edges(n, _randints(random.Random(seed), n, n - 2))
+        return [[], []]
+    return _prufer_rows(n, _randints(random.Random(seed), n, n - 2))
+
+
+def random_prufer_edges(n: int, seed: int) -> EdgeList:
+    """A uniform random labeled tree on 1..n, before any relabeling.
+
+    Exposed separately from gen() so the uniformity of the raw labeled
+    distribution stays observable; gen() canonicalizes and therefore
+    collapses label classes.  Each edge is (u, v) with u < v, in ascending
+    order of u; the order within one u is the decode's.
+    """
+    rows = _random_prufer_rows(n, seed)
+    return EdgeList._trusted(
+        n, tuple((u, v) for u, row in enumerate(rows) for v in row if u < v)
+    )
 
 
 def gen(spec: GeneratorSpec) -> ParentArray:
@@ -176,7 +191,7 @@ def gen(spec: GeneratorSpec) -> ParentArray:
         )
     if family == "prufer":
         n = _require_n(spec)
-        return relabel_bfs(random_prufer_edges(n, spec.seed))[0]
+        return _relabel_rows(n, _random_prufer_rows(n, spec.seed))[0]
     if family == "spider":
         if spec.legs is None or spec.leg_length is None:
             raise ValidationError("spider requires legs and leg_length")

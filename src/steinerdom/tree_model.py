@@ -144,6 +144,8 @@ class EdgeList(Record):
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if n < 0:
+            raise ValidationError(f"vertex count must be >= 0, got {n}")
         seen = set()
         for pos, (u, v) in enumerate(edges):
             if not (1 <= u <= n and 1 <= v <= n):
@@ -353,21 +355,39 @@ def relabel_bfs(
     new``.
     """
     n = edges.n
+    if n < 1:
+        raise ValidationError(f"a tree needs at least one vertex, got {n}")
     if len(edges.edges) != n - 1:
         raise ValidationError(
             f"tree on {n} vertices needs {n - 1} edges, got {len(edges.edges)}"
         )
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    any(map(list.sort, adj))  # sort returns None, so any() sorts every row
-    if root is None:
-        deg = list(map(len, adj))
-        # index() finds the smallest label; adj[0] belongs to no vertex
-        root = deg.index(max(deg), 1)
-    elif not 1 <= root <= n:
+    if root is not None and not 1 <= root <= n:
         raise ValidationError(f"root {root} out of range 1..{n}")
+    rows: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edges.edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    try:
+        return _relabel_rows(n, rows, root)
+    except ValidationError as exc:
+        pos = _first_cycle_edge(n, edges.edges)
+        u, v = edges.edges[pos]
+        raise ValidationError(f"{exc}; edge ({u}, {v}) closes a cycle", pos) from None
+
+
+def _relabel_rows(
+    n: int, rows: list[list[int]], root: int | None = None
+) -> tuple[ParentArray, tuple[int, ...]]:
+    """relabel_bfs's BFS over adjacency rows, ``rows[v]`` for v in 1..n and
+    an empty ``rows[0]``.  It sorts the rows and empties ``rows`` before
+    building its output; if the BFS reaches fewer than n vertices, the
+    ValidationError says how many it reached."""
+    any(map(list.sort, rows))  # sort returns None, so any() sorts every row
+    if root is None:
+        deg = list(map(len, rows))
+        # index() finds the smallest label; rows[0] belongs to no vertex
+        root = deg.index(max(deg), 1)
+        del deg
 
     new_of = [0] * (n + 1)
     parent = [0] * n
@@ -376,19 +396,17 @@ def relabel_bfs(
     order = [root]  # the BFS queue: the loop walks it while it grows
     for old in order:
         p = new_of[old]
-        for nbr in adj[old]:
+        for nbr in rows[old]:
             if not new_of[nbr]:
                 assigned += 1
                 new_of[nbr] = assigned
                 parent[assigned - 1] = p
                 order.append(nbr)
+    rows.clear()
+    del order
     if assigned != n:
-        pos = _first_cycle_edge(n, edges.edges)
-        u, v = edges.edges[pos]
         raise ValidationError(
-            f"edge list is disconnected: reached {assigned} of {n} vertices; "
-            f"edge ({u}, {v}) closes a cycle",
-            pos,
+            f"edge list is disconnected: reached {assigned} of {n} vertices"
         )
     # a vertex's parent was labelled before it, so every entry is in range
     return ParentArray._trusted(n, tuple(parent)), tuple(new_of[1:])

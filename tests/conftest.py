@@ -7,10 +7,12 @@ and shrinking stays inside the domain.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from steinerdom import ParentArray, build_adjacency
+from steinerdom import EdgeList, ParentArray, build_adjacency
 
 settings.register_profile(
     "suite",
@@ -51,3 +53,29 @@ def path_array(n: int) -> ParentArray:
 
 def star_array(n: int) -> ParentArray:
     return ParentArray(n, (0,) + (1,) * (n - 1))
+
+
+def reference_prufer_edges(n: int, seq) -> EdgeList:
+    """The labeled tree of a Prüfer sequence by the textbook rule: join the
+    smallest leaf to the next label of the sequence and remove it; the
+    last two vertices make the last edge.  A heap holds the leaves, where
+    the program scans with a pointer.
+
+    The edges come in reverse order, so that relabel_bfs sees each
+    vertex's neighbours in descending label order and must sort them.
+    """
+    if n == 1:
+        return EdgeList(1, ())
+    deg = [1] * (n + 1)
+    for x in seq:
+        deg[x] += 1
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]  # sorted, so a heap
+    edges = []
+    for x in seq:
+        leaf = heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        deg[x] -= 1
+        if deg[x] == 1:
+            heappush(leaves, x)
+    edges.append((heappop(leaves), heappop(leaves)))
+    return EdgeList(n, tuple(reversed(edges)))

@@ -21,7 +21,8 @@ from steinerdom import (
 from steinerdom import cli
 from steinerdom.bench import BenchRecord
 from steinerdom.cli import main
-from steinerdom.corpus import _prufer_to_edges
+
+from conftest import reference_prufer_edges
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -231,7 +232,7 @@ class TestWriterMatchesReference:
         elif name == "prufer2000.par":
             rng = random.Random(5)
             seq = [rng.randint(1, 2000) for _ in range(1998)]
-            text = format_parent_file(relabel_bfs(_prufer_to_edges(2000, seq))[0])
+            text = format_parent_file(relabel_bfs(reference_prufer_edges(2000, seq))[0])
         else:
             text = {"k1.par": "1\n0\n", "k2.edg": "2\n1 2\n", "star.par": STAR4_PAR}[name]
         path.write_text(text)
@@ -327,7 +328,7 @@ class TestGen:
         n = 50_000
         rng = random.Random(seed)
         seq = [rng.randint(1, n) for _ in range(n - 2)]
-        expected = format_parent_file(relabel_bfs(_prufer_to_edges(n, seq))[0])
+        expected = format_parent_file(relabel_bfs(reference_prufer_edges(n, seq))[0])
         assert run_cli(["gen", "--family", "prufer", "--n", str(n), "--seed", str(seed)]) == 0
         assert capsys.readouterr().out == expected
 

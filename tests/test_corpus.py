@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +24,9 @@ from steinerdom import (
     validate,
 )
 from steinerdom import corpus
-from steinerdom.corpus import _caterpillar_edges, _prufer_to_edges, _randints, _spider_edges
+from steinerdom.corpus import _caterpillar_edges, _prufer_rows, _randints, _spider_edges
+
+from conftest import reference_prufer_edges
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -176,11 +179,48 @@ class TestPruferDecode:
         n^(n-2) labeled trees appear: the decode is a bijection."""
         seen = set()
         for seq in product(range(1, n + 1), repeat=n - 2):
-            el = _prufer_to_edges(n, list(seq))
+            el = reference_prufer_edges(n, list(seq))
             assert len(el.edges) == n - 1
             assert len(validate(relabel_bfs(el)[0])) == 1
             seen.add(frozenset(el.edges))
         assert len(seen) == n ** (n - 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rows_are_the_reference_tree(self, n):
+        """Every sequence: the decode's rows hold each edge of the
+        reference decode once from each end, and gen's tree is
+        relabel_bfs's on the reference edges."""
+        for seq in product(range(1, n + 1), repeat=max(n - 2, 0)):
+            el = reference_prufer_edges(n, seq)
+            if n > 1:
+                rows = _prufer_rows(n, list(seq))
+                assert rows[0] == []
+                assert sorted((u, v) for u, row in enumerate(rows) for v in row) == sorted(
+                    el.edges + tuple((v, u) for u, v in el.edges)
+                )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(corpus, "_randints", lambda rng, n, m: list(seq))
+                assert gen(GeneratorSpec("prufer", n)) == relabel_bfs(el)[0], seq
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_large_gen_is_the_reference_tree(self, seed):
+        n = 50_000
+        rng = random.Random(seed)
+        seq = [rng.randint(1, n) for _ in range(n - 2)]
+        expected = relabel_bfs(reference_prufer_edges(n, seq))[0]
+        assert gen(GeneratorSpec("prufer", n, seed)) == expected
+
+    def test_gen_peak_memory(self):
+        """gen decodes into adjacency rows and relabels them in place; an
+        edge list kept beside the rows took 296 bytes per vertex here."""
+        n = 10**5
+        tracemalloc.start()
+        try:
+            gen(GeneratorSpec("prufer", n, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 240, f"{peak / n:.0f} B/vertex"
 
     def test_tiny_trees(self):
         assert random_prufer_edges(1, 0).edges == ()
@@ -196,7 +236,7 @@ class TestPruferDecode:
         counts = {}
         for _ in range(samples):
             seq = [rng.randint(1, 5) for _ in range(3)]
-            key = frozenset(_prufer_to_edges(5, seq).edges)
+            key = frozenset(reference_prufer_edges(5, seq).edges)
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == trees
         expected = samples / trees
@@ -229,7 +269,11 @@ class TestBulkDraws:
         for n in (3, 4, 10, 1000):
             rng = random.Random(n)
             seq = [rng.randint(1, n) for _ in range(n - 2)]
-            assert random_prufer_edges(n, n) == _prufer_to_edges(n, seq)
+            el = random_prufer_edges(n, n)
+            assert set(el.edges) == set(reference_prufer_edges(n, seq).edges)
+            # one edge per pair, each as (u, v) with u < v, in ascending u
+            assert all(u < v for u, v in el.edges) and len(el.edges) == n - 1
+            assert [u for u, _ in el.edges] == sorted(u for u, _ in el.edges)
 
     def test_limit_is_named(self):
         with pytest.raises(ValidationError, match="4294967295"):

@@ -217,6 +217,7 @@ def test_trusted_edge_list_equals_checked():
         (lambda: ParentArray(3, (0, 1)), "parent array has 2 entries, expected 3", None),
         (lambda: ParentArray(3, (0, 2, 1)), "parent of vertex 2 is 2 (must be in 0..1)", 1),
         (lambda: ParentArray(2, (0, -1)), "parent of vertex 2 is -1 (must be in 0..1)", 1),
+        (lambda: EdgeList(-5, ()), "vertex count must be >= 0, got -5", None),
         (lambda: EdgeList(3, ((1, 2), (1, 4))), "edge (1, 4) has a label outside 1..3", 1),
         (lambda: EdgeList(3, ((2, 2),)), "self-loop at vertex 2", 0),
         (lambda: EdgeList(3, ((1, 2), (2, 1))), "duplicate edge (1, 2)", 1),

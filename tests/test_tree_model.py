@@ -311,6 +311,19 @@ class TestRelabelBfs:
         with pytest.raises(ValidationError):
             relabel_bfs(EdgeList(3, ((1, 2),)))
 
+    @pytest.mark.parametrize(
+        "edges, root, message",
+        [
+            (EdgeList(0, ()), None, "a tree needs at least one vertex, got 0"),
+            (EdgeList(3, ((1, 2),)), None, "tree on 3 vertices needs 2 edges, got 1"),
+            (to_edge_list(path_array(3)), 4, "root 4 out of range 1..3"),
+        ],
+    )
+    def test_messages(self, edges, root, message):
+        with pytest.raises(ValidationError) as info:
+            relabel_bfs(edges, root)
+        assert str(info.value) == message
+
     def test_single_vertex(self):
         assert relabel_bfs(EdgeList(1, ()))[0] == ParentArray(1, (0,))
 
