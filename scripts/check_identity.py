@@ -45,11 +45,19 @@ def inputs() -> dict[str, bytes]:
     edges = [(label[v - 1], label[p - 1]) for v, p in enumerate(parent, start=1) if p]
     rng.shuffle(edges)
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "theorem1-audit-8.par"
+    # solve writes its int lists in chunks of 2^14: these outputs cross seams
+    big = 50_000
+    star = [(1 + big // 2, v) for v in range(1, big + 1) if v != 1 + big // 2]
+    rng.shuffle(star)
+    forest = [rng.randint(0, i) for i in range(2 * big)]
     return {
         "fixture.par": fixture.read_bytes(),
         "tree.par": f"{n}\n{' '.join(map(str, parent))}\n".encode(),
         "tree.edg": (f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)).encode(),
         "forest.par": b"9\n0 1 0 3 3 0 6 7 0\n",
+        "path.par": f"{big}\n{' '.join(map(str, range(big)))}\n".encode(),
+        "star.edg": (f"{big}\n" + "".join(f"{u} {v}\n" for u, v in star)).encode(),
+        "large-forest.par": f"{2 * big}\n{' '.join(map(str, forest))}\n".encode(),
         "non-ascii.par": "3\n0 1 é\n".encode(),
         "bare-cr.par": b"3\n0 1\r1\n",
         "second-root.par": b"3\n0 1 0\n",
@@ -60,9 +68,10 @@ def inputs() -> dict[str, bytes]:
 
 def calls() -> list[list[str]]:
     out = []
-    for name in ("fixture.par", "tree.par", "tree.edg"):
+    for name in ("fixture.par", "tree.par", "tree.edg", "path.par", "star.edg"):
         out += [["solve", name], ["solve", name, "--json"]]
-    out += [["gamma-forest", "forest.par"], ["gamma-forest", "forest.par", "--json"]]
+    for name in ("forest.par", "large-forest.par"):
+        out += [["gamma-forest", name], ["gamma-forest", name, "--json"]]
     out += [["gen", "--family", family, *args] for family, args in FAMILIES.items()]
     out.append(["gen", "--family", "prufer", "--n", "500", "--out", "out/gen.par"])
     out.append(["verify", "--mode", "exhaustive", "--max-n", "7", "--report", "report.json"])

@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
 
 
 def _solve_file(path_text: str, fmt: str):
-    """Parse one tree file and run the construction on it.
+    """Parse one tree file and run the construction on it: (n, result).
 
     A second .par root and an .edg edge closing a cycle are found after
     parsing, by validate and relabel_bfs, which know the parent entry or
@@ -124,7 +124,8 @@ def _solve_file(path_text: str, fmt: str):
             parents = relabel_bfs(parse_edge_list(text))[0]
         # the text is as large as the tree; the error path reads it again
         del text
-        return parents, steiner_domination(parents)
+        # the parent tuple is freed with this frame, before the output
+        return parents.n, steiner_domination(parents)
     except ValidationError as exc:
         if exc.position is None:
             raise
@@ -132,42 +133,64 @@ def _solve_file(path_text: str, fmt: str):
         raise ParseError(f"line {line}: {exc}") from None
 
 
-# json.dumps of the payloads, as fixed templates: solve and gamma-forest
-# print ints and int lists only, so they need not load json
-_SOLVE_JSON = (
-    '{"n": %d, "leaves": [%s], "h_vertices": [%s], "gamma_h": %d, '
-    '"steiner_dominating_set": [%s], "size": %d, "formula_value": %d}'
-)
-_SOLVE_TEXT = (
-    "n: %d\nleaves: %s\ncore vertices: %s\ncore domination number: %d\n"
-    "steiner dominating set: %s\nsize: %d\nformula value: %d"
-)
-_FOREST_JSON = '{"n": %d, "dominating_set": [%s], "size": %d}'
-_FOREST_TEXT = "n: %d\ndominating set: %s\nsize: %d"
+# ints per write: a chunk's text is a few hundred kB at most, and no
+# output exists whole, as a str or as bytes
+_CHUNK = 1 << 14
 
 
+def _write_ints(write, values, sep: str) -> None:
+    """Write ``sep.join(map(str, values))`` in chunks of _CHUNK ints."""
+    for start in range(0, len(values), _CHUNK):
+        if start:
+            write(sep)
+        write(_join_ints(values[start:start + _CHUNK], sep))
+
+
+# solve and gamma-forest write json.dumps of their payloads, and the text
+# lines, piece by piece: they print ints and int lists only, so they need
+# not load json
 def _cmd_solve(args) -> int:
-    parents, res = _solve_file(args.input, args.format)
-    sep = ", " if args.json else " "
-    template = _SOLVE_JSON if args.json else _SOLVE_TEXT
-    print(template % (
-        parents.n,
-        _join_ints(res.leaves, sep),
-        _join_ints(res.core.to_tree, sep),
-        len(res.core_dominating_set),
-        _join_ints(res.steiner_dominating_set, sep),
-        res.size,
-        res.size,  # formula_value: len(leaves) + gamma_h, always the size
-    ))
+    n, res = _solve_file(args.input, args.format)
+    gamma_h, size = len(res.core_dominating_set), res.size
+    # formula_value is len(leaves) + gamma_h, always the size
+    if args.json:
+        sep = ", "
+        heads = (
+            f'{{"n": {n}, "leaves": [',
+            '], "h_vertices": [',
+            f'], "gamma_h": {gamma_h}, "steiner_dominating_set": [',
+        )
+        tail = f'], "size": {size}, "formula_value": {size}}}\n'
+    else:
+        sep = " "
+        heads = (
+            f"n: {n}\nleaves: ",
+            "\ncore vertices: ",
+            f"\ncore domination number: {gamma_h}\nsteiner dominating set: ",
+        )
+        tail = f"\nsize: {size}\nformula value: {size}\n"
+    write = sys.stdout.write
+    for head, values in zip(
+        heads, (res.leaves, res.core.to_tree, res.steiner_dominating_set)
+    ):
+        write(head)
+        _write_ints(write, values, sep)
+    write(tail)
     return 0
 
 
 def _cmd_gamma_forest(args) -> int:
     parents = parse_parent_file(read_ascii_file(args.input))
     dom = forest_domination(parents)
-    sep = ", " if args.json else " "
-    template = _FOREST_JSON if args.json else _FOREST_TEXT
-    print(template % (parents.n, _join_ints(dom, sep), len(dom)))
+    write = sys.stdout.write
+    if args.json:
+        write(f'{{"n": {parents.n}, "dominating_set": [')
+        _write_ints(write, dom, ", ")
+        write(f'], "size": {len(dom)}}}\n')
+    else:
+        write(f"n: {parents.n}\ndominating set: ")
+        _write_ints(write, dom, " ")
+        write(f"\nsize: {len(dom)}\n")
     return 0
 
 

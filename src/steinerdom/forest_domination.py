@@ -5,15 +5,16 @@ domination), a Bound vertex promotes its parent to Required, a Required
 vertex is taken into the set and Frees a still-Bound parent.  Because
 parent < vertex everywhere, the single descending loop visits all children
 before their parent, so a vertex's state is final at its own visit.  The
-index-0 sentinel that roots point to is Outside, like every vertex left
-out of the forest by ``outside``; a Bound vertex whose parent is Outside
-is taken at its own visit, since nothing else can dominate it.
+index-0 sentinel that roots point to is Outside, like every vertex not
+listed in ``inside``; a Bound vertex whose parent is Outside is taken at
+its own visit, since nothing else can dominate it.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from itertools import compress
+from itertools import islice, repeat
+from operator import lt, setitem
 
 from .tree_model import ParentArray, ValidationError
 
@@ -25,36 +26,41 @@ class LabelState(IntEnum):
     OUTSIDE = 3
 
 
-# outside flags -> labels (0 is Bound, any other Outside) and -> visit marks
-_TO_LABEL = bytes([LabelState.BOUND]) + bytes([LabelState.OUTSIDE]) * 255
-_INSIDE = b"\1" + bytes(255)
-
-
 def forest_domination(
     parents: ParentArray,
     trace: list[tuple[int, LabelState, LabelState]] | None = None,
     *,
-    outside: bytes | None = None,
+    inside: tuple[int, ...] | None = None,
 ) -> tuple[int, ...]:
     """Return a minimum dominating set of the forest, ascending labels.
 
-    With ``outside`` (n + 1 byte flags by label, index 0 ignored) the set
-    dominates the subforest induced by the vertices flagged 0.  The empty
-    forest yields the empty set.  When ``trace`` is a list, every actual
-    state change is appended as (vertex, old_state, new_state).
+    With ``inside`` (labels in 1..n, strictly ascending) the set dominates
+    the subforest induced by those vertices, and its labels are the int
+    objects of ``inside``; ``None`` means every vertex.  The empty forest
+    yields the empty set.  When ``trace`` is a list, every actual state
+    change is appended as (vertex, old_state, new_state).
     """
     n = parents.n
     par = parents.parent
-    flags = bytes(n + 1) if outside is None else outside
-    if len(flags) != n + 1:
-        raise ValidationError(f"outside has {len(flags)} flags, expected {n + 1}")
-    if flags.find(0, 1) < 0:  # no vertex inside: skip the O(n) passes below
-        return ()
     bound, required, free, out = map(int, LabelState)
-    label = bytearray(flags.translate(_TO_LABEL))
+    if inside is None:
+        label = bytearray(n + 1)
+        order = range(n, 0, -1)
+    else:
+        if not inside:  # no vertex inside: skip the O(n) label array
+            return ()
+        # C-level: map/lt compare neighbours without a per-vertex bytecode
+        if not (0 < inside[0] and inside[-1] <= n
+                and all(map(lt, inside, islice(inside, 1, None)))):
+            raise ValidationError(
+                f"inside must list labels in 1..{n} in strictly ascending order"
+            )
+        label = bytearray([out]) * (n + 1)
+        any(map(setitem, repeat(label), inside, repeat(bound)))
+        order = reversed(inside)
     label[0] = out
     chosen: list[int] = []  # descending; reversed once at the end
-    for i in compress(range(n, 0, -1), flags[:0:-1].translate(_INSIDE)):
+    for i in order:
         p = par[i - 1]
         li = label[i]
         lp = label[p]

@@ -23,9 +23,10 @@ per-vertex loop runs in Python before the forest pass:
    root is a leaf, its only child;
 3. core: invert N[L] to list the core vertices in ascending label order.
 
-forest_domination then runs on the tree's own parent array with N[L]
-flagged outside: a core vertex whose tree parent is in N[L], or the tree's
-root, is a root of the core forest, and the set comes back in tree labels.
+forest_domination then runs on the tree's own parent array over the core
+vertices alone: a core vertex whose tree parent is in N[L], or the tree's
+root, is a root of the core forest, and the set comes back in tree labels,
+as the int objects of the core's own label tuple.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     if is_leaf[1] and n > 1:
         in_nl[2] = 1
     to_tree = tuple(compress(range(n + 1), in_nl.translate(_FLIP)))
-    core_dom = forest_domination(parents, outside=in_nl)
+    del is_leaf, in_nl  # a byte per vertex each, freed before the pass
+    core_dom = forest_domination(parents, inside=to_tree)
     sd = tuple(sorted(leaves + core_dom))
     return SteinerDominationResult(
         leaves, CoreForest(len(to_tree), to_tree), core_dom, sd, len(sd)

@@ -102,31 +102,43 @@ class TestCorrectness:
 
 
 class TestOutside:
+    """Every vertex not listed in ``inside`` starts Outside."""
+
     def test_flagged_parent_makes_a_root(self):
         # P5 without vertex 4: 5 is an isolated root, taken at its visit,
         # and 2 dominates 1-2-3
-        flags = bytes([1, 0, 0, 0, 1, 0])
-        assert forest_domination(path_array(5), outside=flags) == (2, 5)
+        assert forest_domination(path_array(5), inside=(1, 2, 3, 5)) == (2, 5)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_every_vertex_flagged_gives_the_empty_set(self, n):
         trace = []
-        assert forest_domination(star_array(n), trace, outside=b"\1" * (n + 1)) == ()
+        assert forest_domination(star_array(n), trace, inside=()) == ()
         assert trace == []
 
-    def test_flag_count_must_be_n_plus_one(self):
-        with pytest.raises(ValidationError):
-            forest_domination(path_array(5), outside=bytes(5))
+    @pytest.mark.parametrize(
+        "inside",
+        [(0, 1, 2), (1, 2, 6), (-1, 2), (2, 1, 3), (1, 3, 3), (1, 4, 2, 5)],
+        ids=["zero", "above-n", "negative", "descending", "repeated", "unsorted"],
+    )
+    def test_inside_must_ascend_within_1_to_n(self, inside):
+        trace = []
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            forest_domination(path_array(5), trace, inside=inside)
+        assert trace == []
+
+    def test_chosen_labels_are_the_objects_of_inside(self):
+        # the set holds inside's own int objects, not new ones
+        inside = tuple(range(1000, 2001))
+        d = forest_domination(path_array(2000), inside=inside)
+        assert d and {id(v) for v in d} <= {id(v) for v in inside}
 
     @given(forest_arrays(max_n=40), st.data())
     def test_matches_plain_pass_on_induced_forest(self, pa, data):
         flags = data.draw(st.lists(st.booleans(), min_size=pa.n, max_size=pa.n))
-        outside = bytes([1] + flags)
-        f, labels = induced_forest(
-            build_adjacency(pa), [v for v in range(1, pa.n + 1) if not outside[v]]
-        )
+        inside = tuple(v for v in range(1, pa.n + 1) if not flags[v - 1])
+        f, labels = induced_forest(build_adjacency(pa), list(inside))
         plain = forest_domination(ParentArray(f.n, f.parent))
-        d = forest_domination(pa, outside=outside)
+        d = forest_domination(pa, inside=inside)
         assert d == tuple(labels[h - 1] for h in plain)
         assert len(d) == domination_number_dp(f)
 
