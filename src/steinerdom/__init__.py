@@ -8,7 +8,6 @@ from .corpus import (
     FIXTURES,
     GeneratorSpec,
     enumerate_parent_arrays,
-    fixture,
     gen,
     random_prufer_edges,
 )
@@ -39,7 +38,7 @@ _LAZY = {
     "oracles": (
         "CapExceededError domination_number_dp induced_forest is_dominating_set "
         "is_steiner_set min_dominating_set min_steiner_dominating_set "
-        "steiner_distance steiner_number steiner_subtree"
+        "steiner_number steiner_subtree"
     ),
     "verify": (
         "AUDIT_FIXTURE DiscrepancyCertificate audit_instance "
@@ -83,7 +82,6 @@ __all__ = [
     "consecutive_ratios",
     "domination_number_dp",
     "enumerate_parent_arrays",
-    "fixture",
     "forest_domination",
     "format_parent_file",
     "gen",
@@ -101,7 +99,6 @@ __all__ = [
     "revalidate_certificate",
     "run_bench",
     "run_verify",
-    "steiner_distance",
     "steiner_domination",
     "steiner_number",
     "steiner_subtree",

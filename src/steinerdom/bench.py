@@ -32,7 +32,7 @@ from .tree_model import ParentArray, Record, ValidationError
 CSV_COLUMNS = ("n", "algorithm", "ns_total_median", "ns_per_vertex")
 ALGORITHMS = ("forest_dom", "steiner_dom")
 DEFAULT_SIZES = (10_000, 100_000, 1_000_000)
-DEFAULT_SEED = 987_654_321
+SEED = 987_654_321
 # the linearity gate: most growth allowed between consecutive sizes
 TIME_RATIO_LIMIT = 3.0
 MEMORY_RATIO_LIMIT = 12.0
@@ -71,9 +71,7 @@ def _measure(algorithm: str, parents: ParentArray, reps: int) -> tuple[int, int]
 
 
 def run_bench(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    reps: int = 5,
-    seed: int = DEFAULT_SEED,
+    sizes: Sequence[int] = DEFAULT_SIZES, reps: int = 5
 ) -> tuple[BenchRecord, ...]:
     """Measure both passes at each size; sizes must be strictly ascending."""
     if not sizes:
@@ -86,7 +84,7 @@ def run_bench(
         raise ValidationError(f"repetitions must be >= 3, got {reps}")
     records = []
     for n in sizes:
-        parents = gen(GeneratorSpec("prufer", n=n, seed=seed))
+        parents = gen(GeneratorSpec("prufer", n=n, seed=SEED))
         for algorithm in ALGORITHMS:
             median_ns, peak = _measure(algorithm, parents, reps)
             records.append(

@@ -259,11 +259,3 @@ def enumerate_parent_arrays(n: int, mode: str = "trees") -> Iterator[ParentArray
 FIXTURES: dict[str, ParentArray] = {
     "theorem1-audit-8": ParentArray(8, (0, 1, 1, 1, 3, 4, 5, 6)),
 }
-
-
-def fixture(name: str) -> ParentArray:
-    if name not in FIXTURES:
-        raise ValidationError(
-            f"unknown fixture {name!r}; available: {', '.join(sorted(FIXTURES))}"
-        )
-    return FIXTURES[name]

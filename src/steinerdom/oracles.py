@@ -100,11 +100,6 @@ def steiner_subtree(t: AdjacencyTree, w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v for v in range(1, t.n + 1) if alive[v])
 
 
-def steiner_distance(t: AdjacencyTree, w: tuple[int, ...]) -> int:
-    """Edge count of the minimal subtree spanning w; 0 for a single vertex."""
-    return len(steiner_subtree(t, w)) - 1
-
-
 def is_steiner_set(t: AdjacencyTree, w: tuple[int, ...]) -> bool:
     """True iff the minimal subtree spanning w covers every vertex."""
     return len(steiner_subtree(t, w)) == t.n

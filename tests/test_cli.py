@@ -533,6 +533,11 @@ class TestBench:
         assert code == 1
         assert "ascending" in capsys.readouterr().err
 
+    def test_seed_is_a_usage_error(self, capsys):
+        # every bench run uses bench.SEED
+        assert run_cli(["bench", "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestTopLevel:
     def test_no_arguments(self, capsys):

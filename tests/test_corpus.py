@@ -15,7 +15,6 @@ from steinerdom import (
     ValidationError,
     build_adjacency,
     enumerate_parent_arrays,
-    fixture,
     gen,
     leaf_set,
     parse_parent_file,
@@ -308,11 +307,7 @@ class TestTrustedEdgeLists:
 
 class TestFixture:
     def test_registered_instance(self):
-        assert fixture("theorem1-audit-8").parent == (0, 1, 1, 1, 3, 4, 5, 6)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValidationError):
-            fixture("nonexistent")
+        assert FIXTURES["theorem1-audit-8"].parent == (0, 1, 1, 1, 3, 4, 5, 6)
 
     def test_shipped_file_matches_registry(self):
         # the on-disk .par and the in-code registry must never drift

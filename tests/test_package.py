@@ -11,7 +11,8 @@ import pytest
 
 import steinerdom
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 DEFINING = ("tree_model", "corpus", "forest_domination", "steiner_domination",
             "bench", "oracles", "verify")
 AUDIT_AND_BENCH = {"steinerdom.bench", "steinerdom.verify", "steinerdom.oracles",
@@ -65,6 +66,19 @@ def test_gamma_forest_and_bench_load_no_dataclasses_or_inspect(tmp_path):
         assert not loaded & ON_NO_PATH, argv
         # gamma-forest --json writes from a template and bench writes CSV
         assert "json" not in loaded, argv
+
+
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_help_exits_zero(script):
+    # the scripts import package names; a name deleted from the package
+    # would otherwise break a script unseen
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:"), proc.stdout
 
 
 def test_every_export_is_the_object_its_module_holds(monkeypatch):

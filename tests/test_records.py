@@ -7,12 +7,12 @@ import pytest
 
 from steinerdom import (
     AUDIT_FIXTURE,
+    FIXTURES,
     DiscrepancyCertificate,
     EdgeList,
     GeneratorSpec,
     ParentArray,
     ValidationError,
-    fixture,
 )
 from steinerdom import oracles
 from steinerdom.bench import BenchRecord
@@ -20,7 +20,7 @@ from steinerdom.steiner_domination import CoreForest, SteinerDominationResult
 from steinerdom.tree_model import AdjacencyTree, Record
 from steinerdom.verify import InstanceAudit, VerifyReport
 
-GADGET_8 = fixture(AUDIT_FIXTURE)
+GADGET_8 = FIXTURES[AUDIT_FIXTURE]
 CERT = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
 
 # each record: its fields, and one field with a different value

@@ -6,12 +6,12 @@ import pytest
 
 from steinerdom import (
     AUDIT_FIXTURE,
+    FIXTURES,
     DiscrepancyCertificate,
     ParentArray,
     ParseError,
     ValidationError,
     audit_instance,
-    fixture,
     revalidate_certificate,
     run_verify,
     write_certificate,
@@ -20,7 +20,7 @@ from steinerdom import verify
 from steinerdom.steiner_domination import CoreForest, SteinerDominationResult
 
 P5 = ParentArray(5, (0, 1, 1, 3, 4))
-GADGET_8 = fixture(AUDIT_FIXTURE)
+GADGET_8 = FIXTURES[AUDIT_FIXTURE]
 
 # two copies of the 8-vertex audit gadget with an edge between the centers;
 # the construction overshoots by two, which leaves room for a sidecar that
