@@ -50,12 +50,20 @@ def inputs() -> dict[str, bytes]:
     star = [(1 + big // 2, v) for v in range(1, big + 1) if v != 1 + big // 2]
     rng.shuffle(star)
     forest = [rng.randint(0, i) for i in range(2 * big)]
+    # a spine of 2^15 + 1 vertices, two leaves on each: no core, and no leaf
+    # among the first two chunks of labels
+    spine = (1 << 15) + 1
+    caterpillar = [*range(spine), *(v for v in range(1, spine + 1) for _ in range(2))]
     return {
         "fixture.par": fixture.read_bytes(),
         "tree.par": f"{n}\n{' '.join(map(str, parent))}\n".encode(),
         "tree.edg": (f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)).encode(),
         "forest.par": b"9\n0 1 0 3 3 0 6 7 0\n",
+        # rooted at an end, so the root is a leaf
         "path.par": f"{big}\n{' '.join(map(str, range(big)))}\n".encode(),
+        "star.par": f"{big}\n0{' 1' * (big - 1)}\n".encode(),
+        "caterpillar.par": (f"{len(caterpillar)}\n{' '.join(map(str, caterpillar))}\n"
+                            .encode()),
         "star.edg": (f"{big}\n" + "".join(f"{u} {v}\n" for u, v in star)).encode(),
         "large-forest.par": f"{2 * big}\n{' '.join(map(str, forest))}\n".encode(),
         "non-ascii.par": "3\n0 1 é\n".encode(),
@@ -68,7 +76,8 @@ def inputs() -> dict[str, bytes]:
 
 def calls() -> list[list[str]]:
     out = []
-    for name in ("fixture.par", "tree.par", "tree.edg", "path.par", "star.edg"):
+    for name in ("fixture.par", "tree.par", "tree.edg", "path.par", "star.edg",
+                 "star.par", "caterpillar.par"):
         out += [["solve", name], ["solve", name, "--json"]]
     for name in ("forest.par", "large-forest.par"):
         out += [["gamma-forest", name], ["gamma-forest", name, "--json"]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from itertools import compress
 from pathlib import Path
 
 from .corpus import FAMILIES, GeneratorSpec, gen
@@ -145,13 +146,28 @@ def _write_ints(write, values, sep: str) -> None:
         write(_join_ints(values[start:start + _CHUNK], sep))
 
 
+def _write_members(write, flags, sep: str) -> None:
+    """Write ``sep.join`` of the labels whose flag is set, ascending, one
+    range of _CHUNK labels at a time; a range without members writes
+    nothing, not even a separator."""
+    lead = ""
+    for lo in range(0, len(flags), _CHUNK):
+        values = tuple(compress(range(lo, lo + _CHUNK), flags[lo:lo + _CHUNK]))
+        if values:
+            write(lead)
+            write(_join_ints(values, sep))
+            lead = sep
+
+
 # solve and gamma-forest write json.dumps of their payloads, and the text
 # lines, piece by piece: they print ints and int lists only, so they need
 # not load json
 def _cmd_solve(args) -> int:
     n, res = _solve_file(args.input, args.format)
-    gamma_h, size = len(res.core_dominating_set), res.size
-    # formula_value is len(leaves) + gamma_h, always the size
+    # the set is the leaves and the core's set, disjoint, so formula_value,
+    # len(leaves) + gamma_h, is always the size
+    size = res.size
+    gamma_h = size - res.is_leaf.count(1)
     if args.json:
         sep = ", "
         heads = (
@@ -169,11 +185,9 @@ def _cmd_solve(args) -> int:
         )
         tail = f"\nsize: {size}\nformula value: {size}\n"
     write = sys.stdout.write
-    for head, values in zip(
-        heads, (res.leaves, res.core.to_tree, res.steiner_dominating_set)
-    ):
+    for head, flags in zip(heads, (res.is_leaf, res.in_core, res.in_set)):
         write(head)
-        _write_ints(write, values, sep)
+        _write_members(write, flags, sep)
     write(tail)
     return 0
 
@@ -324,3 +338,8 @@ def main(argv=None) -> int:
     finally:
         if pause:
             gc.enable()
+
+
+if __name__ == "__main__":
+    # the module form is no entry point: fail loudly instead of exiting 0
+    sys.exit("steinerdom.cli is not a command; run 'python -m steinerdom' or 'steinerdom'")

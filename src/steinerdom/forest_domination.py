@@ -5,16 +5,15 @@ domination), a Bound vertex promotes its parent to Required, a Required
 vertex is taken into the set and Frees a still-Bound parent.  Because
 parent < vertex everywhere, the single descending loop visits all children
 before their parent, so a vertex's state is final at its own visit.  The
-index-0 sentinel that roots point to is Outside, like every vertex not
-listed in ``inside``; a Bound vertex whose parent is Outside is taken at
-its own visit, since nothing else can dominate it.
+index-0 sentinel that roots point to is Outside, like every vertex that
+``labels`` starts Outside; a Bound vertex whose parent is Outside is taken
+at its own visit, since nothing else can dominate it.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from itertools import islice, repeat
-from operator import lt, setitem
+from itertools import compress
 
 from .tree_model import ParentArray, ValidationError
 
@@ -26,38 +25,42 @@ class LabelState(IntEnum):
     OUTSIDE = 3
 
 
+# the four states as bytes; translate deletes them, and whatever is left is
+# not a state
+_STATES = bytes(LabelState)
+# a state byte -> 1 for a vertex the pass visits, 0 for an Outside one
+_VISIT = bytes.maketrans(_STATES, b"\1\1\1\0")
+
+
 def forest_domination(
     parents: ParentArray,
     trace: list[tuple[int, LabelState, LabelState]] | None = None,
     *,
-    inside: tuple[int, ...] | None = None,
+    labels: bytes | None = None,
 ) -> tuple[int, ...]:
     """Return a minimum dominating set of the forest, ascending labels.
 
-    With ``inside`` (labels in 1..n, strictly ascending) the set dominates
-    the subforest induced by those vertices, and its labels are the int
-    objects of ``inside``; ``None`` means every vertex.  The empty forest
-    yields the empty set.  When ``trace`` is a list, every actual state
-    change is appended as (vertex, old_state, new_state).
+    ``labels`` gives each vertex its initial LabelState: n + 1 bytes, with
+    ``labels[v]`` for vertex v and ``labels[0]`` read as Outside whatever
+    it holds.  The pass visits only the vertices that do not start Outside,
+    so with Bound and Outside alone the set dominates the subforest that
+    the Bound vertices induce.  ``None`` starts every vertex Bound.  The
+    empty forest yields the empty set.  When ``trace`` is a list, every
+    actual state change is appended as (vertex, old_state, new_state).
     """
     n = parents.n
     par = parents.parent
-    bound, required, free, out = map(int, LabelState)
-    if inside is None:
+    bound, required, free, out = _STATES  # ints: iterating the enum costs µs per call
+    if labels is None:
         label = bytearray(n + 1)
         order = range(n, 0, -1)
     else:
-        if not inside:  # no vertex inside: skip the O(n) label array
-            return ()
-        # C-level: map/lt compare neighbours without a per-vertex bytecode
-        if not (0 < inside[0] and inside[-1] <= n
-                and all(map(lt, inside, islice(inside, 1, None)))):
-            raise ValidationError(
-                f"inside must list labels in 1..{n} in strictly ascending order"
-            )
-        label = bytearray([out]) * (n + 1)
-        any(map(setitem, repeat(label), inside, repeat(bound)))
-        order = reversed(inside)
+        # both checks run in C: no byte is left once the states are deleted
+        if len(labels) != n + 1 or labels.translate(None, _STATES):
+            raise ValidationError(f"labels must hold {n + 1} states, each in 0..3")
+        label = bytearray(labels)
+        # [:0:-1] lines the flags of n..1 up with the descending labels
+        order = compress(range(n, 0, -1), labels.translate(_VISIT)[:0:-1])
     label[0] = out
     chosen: list[int] = []  # descending; reversed once at the end
     for i in order:

@@ -13,20 +13,24 @@ core, and on some trees that beats this construction.  The verify harness
 audits the gap against exact oracles and emits a certificate for every
 instance where the construction loses; nothing here hides that.
 
-Three passes build the leaves and the core.  Each iterates in C (map,
-compress, bytes.translate) over byte flags indexed by tree label, so no
-per-vertex loop runs in Python before the forest pass:
+Three passes build byte flags, indexed by tree label with n + 1 entries, for
+the leaves and the core.  Each iterates in C (map, compress,
+bytes.translate), so no per-vertex loop runs in Python before the forest
+pass:
 
 1. leaf flags: mark every vertex that is some vertex's parent, invert the
    marks, then fix the root, which is a leaf iff it has at most one child;
 2. closed neighborhood N[L]: mark the leaves, their parents and, when the
    root is a leaf, its only child;
-3. core: invert N[L] to list the core vertices in ascending label order.
+3. core flags: invert N[L].
 
-forest_domination then runs on the tree's own parent array over the core
-vertices alone: a core vertex whose tree parent is in N[L], or the tree's
-root, is a root of the core forest, and the set comes back in tree labels,
-as the int objects of the core's own label tuple.
+forest_domination then runs on the tree's own parent array with the core
+flags translated into initial labels: a core vertex starts Bound, every
+other one Outside, so the pass visits the core vertices alone, and a core
+vertex whose tree parent is in N[L], or the tree's root, is a root of the
+core forest.  Its set, in tree labels, is marked into a copy of the leaf
+flags.  The result keeps the three flag arrays; every vertex tuple it
+offers is built from them when it is read.
 """
 
 from __future__ import annotations
@@ -34,11 +38,18 @@ from __future__ import annotations
 from itertools import compress, repeat
 from operator import setitem
 
-from .forest_domination import forest_domination
+from .forest_domination import LabelState, forest_domination
 from .tree_model import ParentArray, Record, validate
 
 # swaps the 0/1 byte flags
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+# a core flag -> the vertex's initial label: Bound in the core, else Outside
+_CORE_LABELS = bytes.maketrans(b"\0\1", bytes((LabelState.OUTSIDE, LabelState.BOUND)))
+
+
+def _members(flags: bytes) -> tuple[int, ...]:
+    """The labels whose flag is set, ascending."""
+    return tuple(compress(range(len(flags)), flags))
 
 
 class CoreForest(Record):
@@ -53,14 +64,38 @@ class CoreForest(Record):
 
 
 class SteinerDominationResult(Record):
-    """Full trace of one run of the construction.
+    """One run of the construction, as three byte flags indexed by tree
+    label (n + 1 entries each, index 0 always unset): the leaves, the core
+    vertices, and the chosen set.
 
-    steiner_dominating_set is the disjoint union of leaves and
-    core_dominating_set, so size is len(leaves) + the domination number of
-    the core forest.
+    The set is the disjoint union of the leaves and a minimum dominating
+    set of the core forest.  The tuples below are built from the flags on
+    each read, so a caller that reads one several times keeps it.
     """
 
-    __slots__ = ("leaves", "core", "core_dominating_set", "steiner_dominating_set", "size")
+    __slots__ = ("is_leaf", "in_core", "in_set")
+
+    @property
+    def leaves(self) -> tuple[int, ...]:
+        return _members(self.is_leaf)
+
+    @property
+    def core(self) -> CoreForest:
+        to_tree = _members(self.in_core)
+        return CoreForest(len(to_tree), to_tree)
+
+    @property
+    def core_dominating_set(self) -> tuple[int, ...]:
+        # the set's members among the core vertices
+        return tuple(compress(_members(self.in_core), compress(self.in_set, self.in_core)))
+
+    @property
+    def steiner_dominating_set(self) -> tuple[int, ...]:
+        return _members(self.in_set)
+
+    @property
+    def size(self) -> int:
+        return self.in_set.count(1)
 
 
 def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
@@ -78,7 +113,6 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     # iff it has at most one (which covers K1).  Index 0 took the root's
     # parent entry, so it reads 0.
     is_leaf[1] = par.count(1) < 2
-    leaves = tuple(compress(range(n + 1), is_leaf))
 
     # N[L] is the leaves, their parents and, when the root is a leaf, its
     # only child: vertex 2, as parent < vertex and vertex 1 is the root.
@@ -87,10 +121,9 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     any(map(setitem, repeat(in_nl), compress(par, is_leaf[1:]), repeat(1)))
     if is_leaf[1] and n > 1:
         in_nl[2] = 1
-    to_tree = tuple(compress(range(n + 1), in_nl.translate(_FLIP)))
-    del is_leaf, in_nl  # a byte per vertex each, freed before the pass
-    core_dom = forest_domination(parents, inside=to_tree)
-    sd = tuple(sorted(leaves + core_dom))
-    return SteinerDominationResult(
-        leaves, CoreForest(len(to_tree), to_tree), core_dom, sd, len(sd)
-    )
+    in_core = bytes(in_nl.translate(_FLIP))
+    del in_nl
+    core_dom = forest_domination(parents, labels=in_core.translate(_CORE_LABELS))
+    in_set = bytearray(is_leaf)
+    any(map(setitem, repeat(in_set), core_dom, repeat(1)))
+    return SteinerDominationResult(bytes(is_leaf), in_core, bytes(in_set))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import not_
 
 
@@ -194,8 +194,21 @@ _OUTSIDE_GRAMMAR = re.compile(r"[^0-9 \t\n]")
 # Bytes of text whose tokens exist as bytes objects at one time; a chunk
 # runs on to the next space, so no token is cut.  Chunks of 2^14 to 2^18
 # bytes lex a 2.5e5-vertex .par equally fast; the whole text at once holds
-# a bytes object per token and nearly doubles the lexer's peak memory.
-_TOKEN_CHUNK = 1 << 16
+# a bytes object per token and nearly doubles the lexer's peak memory.  A
+# 2^14-byte chunk's tokens take about 0.1 MB and a 2^16-byte one 0.4 MB, a
+# difference of 15 B/vertex in the peak of a 2.5e4-vertex parse.
+_TOKEN_CHUNK = 1 << 14
+
+
+def _token_chunks(data: bytes):
+    """The tokens of data as ints, one map per chunk of about _TOKEN_CHUNK
+    bytes; a chunk runs on to the next space, so no token is cut."""
+    start = 0
+    while start < len(data):
+        # a file without spaces, such as a tab-separated one, is one chunk
+        end = data.find(b" ", start + _TOKEN_CHUNK) + 1 or len(data)
+        yield map(int, data[start:end].split())
+        start = end
 
 
 def _lex(text: str) -> tuple[int, list[str], list[int], tuple[int, ...]]:
@@ -205,10 +218,10 @@ def _lex(text: str) -> tuple[int, list[str], list[int], tuple[int, ...]]:
     are [0-9]+ separated by spaces or tabs, lines end in LF or CRLF, blank
     lines are skipped) and reads the vertex count n >= 1 from the first
     non-blank line.  Returns n, the lines, the line number of every
-    non-blank line (the count's line first), and every token as an int, in
-    file order.  The bytes are split into tokens once; counting the tokens
-    of each line is left to the parser that needs it, so the long data
-    line of a .par is not split a second time.
+    non-blank line (the count's line first), and every token after the
+    count as an int, in file order.  The bytes are split into tokens once;
+    counting the tokens of each line is left to the parser that needs it,
+    so the long data line of a .par is not split a second time.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -220,14 +233,13 @@ def _lex(text: str) -> tuple[int, list[str], list[int], tuple[int, ...]]:
         raise ParseError(
             f"line {lineno}: character {bad.group()!r} is not a digit, space or tab"
         )
-    tokens: list[int] = []
-    start = 0
+    # chain flattens the chunks in C and the tuple grows in place, so no
+    # list of the tokens exists beside it; with the count split off the
+    # front, a .par file's parent entries need no second copy
+    tokens = chain.from_iterable(_token_chunks(data))
     try:
-        while start < len(data):
-            # a file without spaces, such as a tab-separated one, is one chunk
-            end = data.find(b" ", start + _TOKEN_CHUNK) + 1 or len(data)
-            tokens += map(int, data[start:end].split())
-            start = end
+        n = next(tokens, None)
+        rest = tuple(tokens)
     except ValueError:
         # the grammar leaves int() only its cap on digits to object to
         limit = sys.get_int_max_str_digits()
@@ -239,9 +251,7 @@ def _lex(text: str) -> tuple[int, list[str], list[int], tuple[int, ...]]:
         raise ParseError(
             f"line {lineno}: an integer has more digits than Python's limit of {limit}"
         ) from None
-    del data
-    values = tuple(tokens)
-    del tokens
+    del data, tokens
     # Split into lines only now: a copy of a long .par data line alive
     # during the token split above would add to the peak memory.
     lines = text.split("\n")
@@ -254,10 +264,9 @@ def _lex(text: str) -> tuple[int, list[str], list[int], tuple[int, ...]]:
         raise ParseError(
             f"line {linenos[0]}: expected a single vertex count, found {first} tokens"
         )
-    n = values[0]
     if n < 1:
         raise ParseError(f"line {linenos[0]}: vertex count must be >= 1, got {n}")
-    return n, lines, linenos, values
+    return n, lines, linenos, rest
 
 
 def parse_parent_file(text: str) -> ParentArray:
@@ -267,18 +276,19 @@ def parse_parent_file(text: str) -> ParentArray:
     line and entry count mismatches, and any parent entry that
     ParentArray rejects.
     """
-    n, _, linenos, values = _lex(text)
+    n, lines, linenos, parent = _lex(text)
+    del lines  # as large as the text, and only .edg reads them
     if len(linenos) == 1:
         raise ParseError(f"line {linenos[0]}: missing parent entries for {n} vertices")
     if len(linenos) > 2:
         raise ParseError(f"line {linenos[2]}: unexpected extra line")
     # every token after the count's is on the one data line
-    if len(values) - 1 != n:
+    if len(parent) != n:
         raise ParseError(
-            f"line {linenos[1]}: expected {n} parent entries, found {len(values) - 1}"
+            f"line {linenos[1]}: expected {n} parent entries, found {len(parent)}"
         )
     try:
-        return ParentArray(n, values[1:])
+        return ParentArray(n, parent)
     except ValidationError as exc:
         raise ParseError(f"line {linenos[1]}: {exc}") from None
 
@@ -307,7 +317,7 @@ def parse_edge_list(text: str) -> EdgeList:
             f"line {linenos[k]}: expected an edge 'u v', found {counts[k]} labels"
         )
     try:
-        return EdgeList(n, tuple(zip(values[1::2], values[2::2])))
+        return EdgeList(n, tuple(zip(values[0::2], values[1::2])))
     except ValidationError as exc:
         # edge i sits on the (i + 1)-th line after the vertex count
         raise ParseError(f"line {linenos[exc.position + 1]}: {exc}") from None

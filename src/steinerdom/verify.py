@@ -189,22 +189,23 @@ def audit_instance(parents: ParentArray) -> InstanceAudit:
     """Run all three audit layers on a single tree."""
     t = build_adjacency(parents)
     res = steiner_domination(parents)
-    sd = res.steiner_dominating_set
+    # the result builds each tuple on every read: read each one once
+    sd, size, core_set = res.steiner_dominating_set, res.size, res.core_dominating_set
 
     validity_ok = (
         set(res.leaves) <= set(sd)
         and is_steiner_set(t, sd)
         and is_dominating_set(t, sd)
-        and len(set(sd)) == len(sd) == res.size
+        and len(set(sd)) == len(sd) == size
     )
 
     nl = set(closed_neighborhood(t, leaf_set(t)))
     core, core_labels = induced_forest(t, [v for v in range(1, t.n + 1) if v not in nl])
-    core_dom = set(res.core_dominating_set)
+    core_dom = set(core_set)
     core_local = tuple(h for h, v in enumerate(core_labels, start=1) if v in core_dom)
     optimality_ok = (
         res.core.to_tree == core_labels
-        and len(core_local) == len(res.core_dominating_set) == domination_number_dp(core)
+        and len(core_local) == len(core_set) == domination_number_dp(core)
     )
     if optimality_ok and core.n <= DOMINATING_CAP:
         optimality_ok = (
@@ -226,17 +227,17 @@ def audit_instance(parents: ParentArray) -> InstanceAudit:
     exact = _exact_steiner(t)
     if exact is not None:
         oracle_size, witness = exact
-        if oracle_size < res.size:
-            certificate = DiscrepancyCertificate(parents, res.size, oracle_size, witness)
-        elif oracle_size > res.size:
+        if oracle_size < size:
+            certificate = DiscrepancyCertificate(parents, size, oracle_size, witness)
+        elif oracle_size > size:
             # sd itself is a valid candidate of this size, so the
             # enumeration finding anything larger means an oracle bug
             internal_error = (
-                f"construction size {res.size} beats enumeration minimum "
+                f"construction size {size} beats enumeration minimum "
                 f"{oracle_size} on {list(parents.parent)}"
             )
     return InstanceAudit(
-        res.size, oracle_size, validity_ok, optimality_ok, certificate, internal_error
+        size, oracle_size, validity_ok, optimality_ok, certificate, internal_error
     )
 
 

@@ -234,7 +234,7 @@ class TestWriterMatchesReference:
     @pytest.mark.parametrize(
         "name",
         ["k1.par", "k2.edg", "star.par", "fixture.par", "prufer2000.par",
-         "star-seams.par", "path-seams.par"],
+         "star-seams.par", "path-seams.par", "caterpillar-seams.par"],
     )
     def test_solve(self, name, tmp_path, capsys):
         path = tmp_path / name
@@ -251,16 +251,23 @@ class TestWriterMatchesReference:
         elif name == "path-seams.par":
             n = 3 * cli._CHUNK
             text = format_parent_file(ParentArray(n, tuple(range(n))))
+        elif name == "caterpillar-seams.par":
+            text = format_parent_file(_caterpillar(2 * cli._CHUNK + 3))
         else:
             text = {"k1.par": "1\n0\n", "k2.edg": "2\n1 2\n", "star.par": STAR4_PAR}[name]
         path.write_text(text)
         n, res = cli._solve_file(str(path), "auto")
-        if name.startswith("star"):
+        if name.startswith(("star", "caterpillar")):
             assert res.core.to_tree == ()
         if name.endswith("-seams.par"):
             # the star's leaves and set, or the path's core vertices, cross
             # at least two seams between the writer's chunks
             assert max(len(res.leaves), len(res.core.to_tree)) > 2 * cli._CHUNK
+        if name in ("path-seams.par", "caterpillar-seams.par"):
+            # and whole label ranges of the writer's chunks hold no leaf:
+            # the path's between its two ends, the caterpillar's before
+            # the first label after its spine
+            assert not set(res.leaves) & set(range(cli._CHUNK, 2 * cli._CHUNK))
         for as_json in (True, False):
             assert run_cli(["solve", str(path)] + ["--json"] * as_json) == 0
             _assert_same_text(
@@ -316,19 +323,35 @@ class TestWriterMatchesReference:
         )
 
 
+def _caterpillar(spine):
+    """A spine 1..spine with two leaves on every spine vertex, labelled
+    after the spine: no core, and no leaf among the first spine labels."""
+    return ParentArray(3 * spine, (*range(spine), *(v for v in range(1, spine + 1)
+                                                    for _ in range(2))))
+
+
 class TestSolveMemory:
     """solve --json's tracemalloc peak per vertex at n = 10^5.  Measured
-    86.1 B/v on the path and 74.8 on the Prufer tree (Python 3.11); each
-    limit is that plus 15%.  While the output was formatted whole, and the
-    forest pass made new int objects for its set, they were 114.7 and 93.1."""
+    57.4-58.9 B/v on the path, 50.6 on the Prufer tree, 16.9 on the star
+    and 49.6 on the caterpillar (Python 3.11); each limit is the highest
+    reading plus 15%.  While steiner_domination built the three lists as
+    tuples of ints they were 84.3-85.8, 74.9, 64.3 and 73.5."""
 
-    @pytest.mark.parametrize("shape, limit", [("path", 100), ("prufer", 86)])
+    @pytest.mark.parametrize(
+        "shape, limit",
+        [("path", 68), ("prufer", 59), ("star", 20), ("caterpillar", 58)],
+    )
     def test_peak_per_vertex(self, shape, limit, tmp_path):
         n = 10**5
         if shape == "path":
             parents = ParentArray(n, tuple(range(n)))
-        else:
+        elif shape == "prufer":
             parents = cli.gen(cli.GeneratorSpec("prufer", n, 1))
+        elif shape == "star":
+            parents = ParentArray(n, (0,) + (1,) * (n - 1))
+        else:
+            parents = _caterpillar(n // 3)
+            n = parents.n
         path = tmp_path / f"{shape}.par"
         path.write_text(format_parent_file(parents))
         del parents
@@ -674,6 +697,21 @@ class TestProcessExit:
         lines = proc.stderr.decode().splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("steinerdom solve: error: ")
+
+    def test_cli_module_is_no_entry_point(self):
+        # python -m steinerdom.cli once ran the command; now it must fail
+        # loudly and name the entry point, not exit 0 with no output
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "theorem1-audit-8.par"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "steinerdom.cli", "solve", str(fixture)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and "python -m steinerdom" in lines[0], lines
 
     def test_profiler_still_writes_its_output(self, tmp_path):
         stats = tmp_path / "gen.prof"

@@ -1,7 +1,9 @@
 """The three-state forest pass: optimality, domination, state machine."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerdom import (
@@ -101,36 +103,61 @@ class TestCorrectness:
                 assert len(d) == min_dominating_set(f)[0]
 
 
+def _labels(n, bound):
+    """Initial labels that start the vertices of ``bound`` Bound and every
+    other vertex Outside."""
+    labels = bytearray([LabelState.OUTSIDE]) * (n + 1)
+    for v in bound:
+        labels[v] = LabelState.BOUND
+    return bytes(labels)
+
+
 class TestOutside:
-    """Every vertex not listed in ``inside`` starts Outside."""
+    """Every vertex that ``labels`` starts Outside stays out of the pass."""
 
     def test_flagged_parent_makes_a_root(self):
         # P5 without vertex 4: 5 is an isolated root, taken at its visit,
         # and 2 dominates 1-2-3
-        assert forest_domination(path_array(5), inside=(1, 2, 3, 5)) == (2, 5)
+        assert forest_domination(path_array(5), labels=_labels(5, (1, 2, 3, 5))) == (2, 5)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_every_vertex_flagged_gives_the_empty_set(self, n):
         trace = []
-        assert forest_domination(star_array(n), trace, inside=()) == ()
+        assert forest_domination(star_array(n), trace, labels=_labels(n, ())) == ()
         assert trace == []
+
+    def test_index_zero_is_outside_whatever_it_holds(self):
+        # a root's parent is the sentinel: a Bound sentinel promotes nothing
+        for state in LabelState:
+            labels = bytes([state]) + bytes(5)
+            assert forest_domination(path_array(5), labels=labels) == (1, 4)
 
     @pytest.mark.parametrize(
-        "inside",
-        [(0, 1, 2), (1, 2, 6), (-1, 2), (2, 1, 3), (1, 3, 3), (1, 4, 2, 5)],
-        ids=["zero", "above-n", "negative", "descending", "repeated", "unsorted"],
+        "labels",
+        [b"", bytes(5), bytes(7), bytes(600)],
+        ids=["empty", "n", "n+2", "long"],
     )
-    def test_inside_must_ascend_within_1_to_n(self, inside):
+    def test_labels_must_hold_n_plus_one_bytes(self, labels):
         trace = []
-        with pytest.raises(ValidationError, match="strictly ascending"):
-            forest_domination(path_array(5), trace, inside=inside)
+        with pytest.raises(ValidationError, match=r"labels must hold 6 states, each in 0\.\.3"):
+            forest_domination(path_array(5), trace, labels=labels)
         assert trace == []
 
-    def test_chosen_labels_are_the_objects_of_inside(self):
-        # the set holds inside's own int objects, not new ones
-        inside = tuple(range(1000, 2001))
-        d = forest_domination(path_array(2000), inside=inside)
-        assert d and {id(v) for v in d} <= {id(v) for v in inside}
+    @pytest.mark.parametrize("value", [4, 7, 255])
+    @pytest.mark.parametrize("at", [0, 1, 5])
+    def test_labels_must_be_states(self, value, at):
+        labels = bytearray(6)
+        labels[at] = value
+        trace = []
+        with pytest.raises(ValidationError, match=r"labels must hold 6 states, each in 0\.\.3"):
+            forest_domination(path_array(5), trace, labels=bytes(labels))
+        assert trace == []
+
+    def test_labels_are_not_written(self):
+        labels = bytearray(_labels(5, (1, 2, 3, 4, 5)))
+        before = bytes(labels)
+        assert forest_domination(path_array(5), labels=labels) == (1, 4)
+        assert labels == before
 
     @given(forest_arrays(max_n=40), st.data())
     def test_matches_plain_pass_on_induced_forest(self, pa, data):
@@ -138,9 +165,50 @@ class TestOutside:
         inside = tuple(v for v in range(1, pa.n + 1) if not flags[v - 1])
         f, labels = induced_forest(build_adjacency(pa), list(inside))
         plain = forest_domination(ParentArray(f.n, f.parent))
-        d = forest_domination(pa, inside=inside)
+        d = forest_domination(pa, labels=_labels(pa.n, inside))
         assert d == tuple(labels[h - 1] for h in plain)
         assert len(d) == domination_number_dp(f)
+
+
+class TestInitialLabels:
+    """Required and Free starts: the set is a smallest one that holds every
+    Required vertex and dominates every Bound one, within the vertices
+    that do not start Outside."""
+
+    def test_required_leaf_is_taken(self):
+        # P3 with leaf 3 Required: 3 is taken and frees 2, then 1 is
+        # taken, as its only neighbour is Free
+        labels = bytes([LabelState.OUTSIDE, 0, 0, LabelState.REQUIRED])
+        assert forest_domination(path_array(3), labels=labels) == (1, 3)
+
+    def test_free_vertices_need_no_domination(self):
+        labels = bytes([LabelState.OUTSIDE, *[LabelState.FREE] * 5])
+        assert forest_domination(path_array(5), labels=labels) == ()
+
+    @settings(max_examples=150)
+    @given(forest_arrays(max_n=9), st.data())
+    def test_matches_exhaustive_search(self, pa, data):
+        states = data.draw(st.lists(
+            st.sampled_from(list(LabelState)), min_size=pa.n, max_size=pa.n
+        ))
+        labels = bytes([LabelState.OUTSIDE, *states])
+        visited = [v for v in range(1, pa.n + 1) if states[v - 1] != LabelState.OUTSIDE]
+        required = {v for v in visited if states[v - 1] == LabelState.REQUIRED}
+        needy = {v for v in visited if states[v - 1] != LabelState.FREE}
+        t = build_adjacency(pa)
+        # neighbours within the visited vertices
+        near = {v: {v, *t.children[v - 1], t.parent[v - 1]} & set(visited) for v in visited}
+        best = next(
+            k for k in range(len(visited) + 1)
+            if any(
+                required <= set(s) and needy <= set().union(*(near[v] for v in s))
+                for s in combinations(visited, k)
+            )
+        )
+        d = forest_domination(pa, labels=labels)
+        assert len(d) == best
+        assert required <= set(d) <= set(visited)
+        assert needy <= set().union(*(near[v] for v in d))
 
 
 class TestAdditivity:

@@ -37,15 +37,11 @@ RECORDS = [
     (CoreForest, dict(m=2, to_tree=(3, 4)), "to_tree", (3, 5)),
     (
         SteinerDominationResult,
-        dict(
-            leaves=(2, 5),
-            core=CoreForest(0, ()),
-            core_dominating_set=(),
-            steiner_dominating_set=(2, 5),
-            size=2,
-        ),
-        "core",
-        CoreForest(1, (3,)),
+        # the path 1-2-3-4-5: leaves 1 and 5, core 3, set 1, 3, 5
+        dict(is_leaf=b"\0\1\0\0\0\1", in_core=b"\0\0\0\1\0\0",
+             in_set=b"\0\1\0\1\0\1"),
+        "in_core",
+        bytes(6),
     ),
     (
         DiscrepancyCertificate,

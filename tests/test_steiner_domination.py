@@ -21,6 +21,8 @@ from steinerdom import (
     to_edge_list,
 )
 
+from steinerdom.steiner_domination import CoreForest
+
 from conftest import path_array, star_array, tree_arrays
 
 
@@ -89,6 +91,35 @@ def _assert_core_matches_definition(pa):
         assert core.parent[h - 1] == expected < h
     plain = forest_domination(ParentArray(core.n, core.parent))
     assert r.core_dominating_set == tuple(labels[h - 1] for h in plain)
+
+
+class TestResultViews:
+    """The result keeps three byte flags; every tuple it offers is read off
+    them when it is read."""
+
+    @given(tree_arrays(min_n=1, max_n=60), st.data())
+    def test_views_match_the_definitions(self, pa, data):
+        # re-rooted at a drawn vertex, so the root is a leaf as often as not
+        root = data.draw(st.integers(1, pa.n), label="root")
+        pa = relabel_bfs(to_edge_list(pa), root)[0]
+        n = pa.n
+        t = build_adjacency(pa)
+        leaves = leaf_set(t)
+        excluded = set(closed_neighborhood(t, leaves))
+        core, labels = induced_forest(t, [v for v in range(1, n + 1) if v not in excluded])
+        plain = forest_domination(ParentArray(core.n, core.parent))
+        core_set = tuple(labels[h - 1] for h in plain)
+        r = steiner_domination(pa)
+        assert r.leaves == leaves
+        assert r.core == CoreForest(core.n, labels)
+        assert r.core_dominating_set == core_set
+        assert r.steiner_dominating_set == tuple(sorted(leaves + core_set))
+        assert r.size == len(leaves) + len(core_set)
+        for flags, members in (
+            (r.is_leaf, leaves), (r.in_core, labels), (r.in_set, leaves + core_set)
+        ):
+            assert type(flags) is bytes
+            assert flags == bytes(v in members for v in range(n + 1))
 
 
 class TestSteinerDomination:

@@ -1,6 +1,7 @@
 """Audit harness: per-instance audits, reports, certificates, revalidation."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,7 @@ from steinerdom import (
     write_certificate,
 )
 from steinerdom import verify
-from steinerdom.steiner_domination import CoreForest, SteinerDominationResult
+from steinerdom.steiner_domination import CoreForest
 
 P5 = ParentArray(5, (0, 1, 1, 3, 4))
 GADGET_8 = FIXTURES[AUDIT_FIXTURE]
@@ -40,11 +41,15 @@ SPIDER_26 = ParentArray(26, (0, 1, *[1] * 8, *range(3, 19)))
 _MISSING = object()
 
 
+# what audit_instance reads of the solver's result
+_VIEWS = ("leaves", "core", "core_dominating_set", "steiner_dominating_set", "size")
+
+
 def _altered(res, **changes):
-    """The solver's result with some fields changed: a new result built
-    from res's fields and the changes."""
-    fields = {name: getattr(res, name) for name in SteinerDominationResult.__slots__}
-    return SteinerDominationResult(**{**fields, **changes})
+    """The solver's result as audit_instance reads it, with some views
+    changed: a namespace of res's views and the changes.  The result
+    itself holds flags, which cannot repeat a vertex or miscount a size."""
+    return SimpleNamespace(**{**{name: getattr(res, name) for name in _VIEWS}, **changes})
 
 
 class TestAuditInstance:
