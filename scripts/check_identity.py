@@ -45,15 +45,17 @@ def inputs() -> dict[str, bytes]:
     edges = [(label[v - 1], label[p - 1]) for v, p in enumerate(parent, start=1) if p]
     rng.shuffle(edges)
     fixture = Path(__file__).resolve().parent.parent / "fixtures" / "theorem1-audit-8.par"
-    # solve writes its int lists in chunks of 2^14: these outputs cross seams
+    # solve writes its vertex lists in blocks of 1000 labels: these outputs
+    # cross block seams
     big = 50_000
     star = [(1 + big // 2, v) for v in range(1, big + 1) if v != 1 + big // 2]
     rng.shuffle(star)
     forest = [rng.randint(0, i) for i in range(2 * big)]
     # a spine of 2^15 + 1 vertices, two leaves on each: no core, and no leaf
-    # among the first two chunks of labels
+    # among the first 32 blocks of labels
     spine = (1 << 15) + 1
     caterpillar = [*range(spine), *(v for v in range(1, spine + 1) for _ in range(2))]
+    huge = 120_000
     return {
         "fixture.par": fixture.read_bytes(),
         "tree.par": f"{n}\n{' '.join(map(str, parent))}\n".encode(),
@@ -62,6 +64,10 @@ def inputs() -> dict[str, bytes]:
         # rooted at an end, so the root is a leaf
         "path.par": f"{big}\n{' '.join(map(str, range(big)))}\n".encode(),
         "star.par": f"{big}\n0{' 1' * (big - 1)}\n".encode(),
+        # lists with members on both sides of label 10^5, where a block's
+        # number gains a digit
+        "path-120k.par": f"{huge}\n{' '.join(map(str, range(huge)))}\n".encode(),
+        "star-120k.par": f"{huge}\n0{' 1' * (huge - 1)}\n".encode(),
         "caterpillar.par": (f"{len(caterpillar)}\n{' '.join(map(str, caterpillar))}\n"
                             .encode()),
         "star.edg": (f"{big}\n" + "".join(f"{u} {v}\n" for u, v in star)).encode(),
@@ -77,9 +83,9 @@ def inputs() -> dict[str, bytes]:
 def calls() -> list[list[str]]:
     out = []
     for name in ("fixture.par", "tree.par", "tree.edg", "path.par", "star.edg",
-                 "star.par", "caterpillar.par"):
+                 "star.par", "caterpillar.par", "path-120k.par", "star-120k.par"):
         out += [["solve", name], ["solve", name, "--json"]]
-    for name in ("forest.par", "large-forest.par"):
+    for name in ("forest.par", "large-forest.par", "path-120k.par"):
         out += [["gamma-forest", name], ["gamma-forest", name, "--json"]]
     out += [["gen", "--family", family, *args] for family, args in FAMILIES.items()]
     out.append(["gen", "--family", "prufer", "--n", "500", "--out", "out/gen.par"])

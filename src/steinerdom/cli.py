@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from itertools import compress
+from itertools import compress, repeat
+from operator import setitem
 from pathlib import Path
 
 from .corpus import FAMILIES, GeneratorSpec, gen
@@ -20,7 +21,6 @@ from .tree_model import (
     ParseError,
     TreeModelError,
     ValidationError,
-    _join_ints,
     format_parent_file,
     parse_edge_list,
     parse_parent_file,
@@ -133,29 +133,38 @@ def _solve_file(path_text: str, fmt: str):
         raise ParseError(f"line {line}: {exc}") from None
 
 
-# ints per write: a chunk's text is a few hundred kB at most, and no
-# output exists whole, as a str or as bytes
-_CHUNK = 1 << 14
+# labels per write: a block's text is a few kB, and no output exists
+# whole, as a str or as bytes
+_BLOCK = 1000
 
 
-def _write_ints(write, values, sep: str) -> None:
-    """Write ``sep.join(map(str, values))`` in chunks of _CHUNK ints."""
-    for start in range(0, len(values), _CHUNK):
-        if start:
-            write(sep)
-        write(_join_ints(values[start:start + _CHUNK], sep))
+def _suffixes() -> tuple[str, ...]:
+    """The _BLOCK suffixes, "000" to "999", in label order.  Each solve or
+    gamma-forest call builds them (about 0.2 ms), so other commands do not
+    hold them."""
+    return tuple(map("%03d".__mod__, range(_BLOCK)))
 
 
-def _write_members(write, flags, sep: str) -> None:
-    """Write ``sep.join`` of the labels whose flag is set, ascending, one
-    range of _CHUNK labels at a time; a range without members writes
-    nothing, not even a separator."""
+def _write_members(write, flags, sep: str, suffixes: tuple[str, ...]) -> None:
+    """Write ``sep.join(map(str, ...))`` of the labels whose flag is set,
+    ascending, one block of _BLOCK labels at a time; a block without
+    members writes nothing, not even a separator.
+
+    Block b >= 1 is one compress over ``suffixes`` and one join, with
+    ``str(b)`` in front of each suffix: no int and no format per member.
+    Block 0, labels 1 to 999, has no zero padding, so it formats its ints.
+    """
+    text = sep.join(map(str, compress(range(_BLOCK), flags[:_BLOCK])))
     lead = ""
-    for lo in range(0, len(flags), _CHUNK):
-        values = tuple(compress(range(lo, lo + _CHUNK), flags[lo:lo + _CHUNK]))
-        if values:
-            write(lead)
-            write(_join_ints(values, sep))
+    if text:
+        write(text)
+        lead = sep
+    for lo in range(_BLOCK, len(flags), _BLOCK):
+        head = str(lo // _BLOCK)
+        text = (sep + head).join(compress(suffixes, flags[lo:lo + _BLOCK]))
+        if text:
+            write(lead + head)
+            write(text)
             lead = sep
 
 
@@ -185,9 +194,10 @@ def _cmd_solve(args) -> int:
         )
         tail = f"\nsize: {size}\nformula value: {size}\n"
     write = sys.stdout.write
+    suffixes = _suffixes()
     for head, flags in zip(heads, (res.is_leaf, res.in_core, res.in_set)):
         write(head)
-        _write_members(write, flags, sep)
+        _write_members(write, flags, sep, suffixes)
     write(tail)
     return 0
 
@@ -195,15 +205,21 @@ def _cmd_solve(args) -> int:
 def _cmd_gamma_forest(args) -> int:
     parents = parse_parent_file(read_ascii_file(args.input))
     dom = forest_domination(parents)
+    size = len(dom)
+    # the set as byte flags, marked in C as steiner_domination marks its
+    # own, for the one vertex-list writer
+    in_set = bytearray(parents.n + 1)
+    any(map(setitem, repeat(in_set), dom, repeat(1)))
+    del dom
     write = sys.stdout.write
     if args.json:
         write(f'{{"n": {parents.n}, "dominating_set": [')
-        _write_ints(write, dom, ", ")
-        write(f'], "size": {len(dom)}}}\n')
+        _write_members(write, in_set, ", ", _suffixes())
+        write(f'], "size": {size}}}\n')
     else:
         write(f"n: {parents.n}\ndominating set: ")
-        _write_ints(write, dom, " ")
-        write(f"\nsize: {len(dom)}\n")
+        _write_members(write, in_set, " ", _suffixes())
+        write(f"\nsize: {size}\n")
     return 0
 
 

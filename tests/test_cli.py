@@ -229,14 +229,17 @@ def _assert_same_text(out, expected):
 
 class TestWriterMatchesReference:
     """solve and gamma-forest write the bytes that json.dumps and
-    ' '.join(map(str, ...)) wrote, chunk by chunk."""
+    ' '.join(map(str, ...)) wrote, block by block."""
 
     @pytest.mark.parametrize(
         "name",
         ["k1.par", "k2.edg", "star.par", "fixture.par", "prufer2000.par",
-         "star-seams.par", "path-seams.par", "caterpillar-seams.par"],
+         "star-seams.par", "path-seams.par", "caterpillar-seams.par",
+         "path-block-multiple.par", "path-last-block-empty.par",
+         "path-crossings.par", "star-crossings.par"],
     )
     def test_solve(self, name, tmp_path, capsys):
+        block = cli._BLOCK
         path = tmp_path / name
         if name == "fixture.par":
             text = (Path(__file__).resolve().parent.parent / "fixtures"
@@ -245,14 +248,16 @@ class TestWriterMatchesReference:
             rng = random.Random(5)
             seq = [rng.randint(1, 2000) for _ in range(1998)]
             text = format_parent_file(relabel_bfs(reference_prufer_edges(2000, seq))[0])
-        elif name == "star-seams.par":
-            n = 2 * cli._CHUNK + 5
+        elif name.startswith("star-"):
+            n = 2 * block + 5 if name == "star-seams.par" else 100_002
             text = format_parent_file(ParentArray(n, (0,) + (1,) * (n - 1)))
-        elif name == "path-seams.par":
-            n = 3 * cli._CHUNK
+        elif name.startswith("path-"):
+            n = {"path-seams.par": 3 * block, "path-block-multiple.par": 3 * block - 1,
+                 "path-last-block-empty.par": 2 * block + 1,
+                 "path-crossings.par": 100_003}[name]
             text = format_parent_file(ParentArray(n, tuple(range(n))))
         elif name == "caterpillar-seams.par":
-            text = format_parent_file(_caterpillar(2 * cli._CHUNK + 3))
+            text = format_parent_file(_caterpillar(2 * block + 3))
         else:
             text = {"k1.par": "1\n0\n", "k2.edg": "2\n1 2\n", "star.par": STAR4_PAR}[name]
         path.write_text(text)
@@ -261,18 +266,54 @@ class TestWriterMatchesReference:
             assert res.core.to_tree == ()
         if name.endswith("-seams.par"):
             # the star's leaves and set, or the path's core vertices, cross
-            # at least two seams between the writer's chunks
-            assert max(len(res.leaves), len(res.core.to_tree)) > 2 * cli._CHUNK
+            # at least two seams between the writer's blocks
+            assert max(len(res.leaves), len(res.core.to_tree)) > 2 * block
         if name in ("path-seams.par", "caterpillar-seams.par"):
-            # and whole label ranges of the writer's chunks hold no leaf:
-            # the path's between its two ends, the caterpillar's before
-            # the first label after its spine
-            assert not set(res.leaves) & set(range(cli._CHUNK, 2 * cli._CHUNK))
+            # and whole label blocks hold no leaf: the path's between its
+            # two ends, the caterpillar's before the first label after its
+            # spine
+            assert not set(res.leaves) & set(range(block, 2 * block))
+        if name == "path-block-multiple.par":
+            # the flags end exactly at a block's end
+            assert len(res.in_set) % block == 0
+        if name == "path-last-block-empty.par":
+            # the core's last block, labels 2000 and 2001, is empty
+            assert res.core.to_tree[-1] < 2 * block <= n
+        if name.endswith("-crossings.par"):
+            # the path's core vertices, or the star's leaves, cross the
+            # labels where the block number gains a digit
+            members = set(res.core.to_tree if name.startswith("path") else res.leaves)
+            assert {999, 1000, 1001, 9999, 10000, 99999, 100000, 100001} <= members
         for as_json in (True, False):
             assert run_cli(["solve", str(path)] + ["--json"] * as_json) == 0
             _assert_same_text(
                 capsys.readouterr().out, _old_solve_output(n, res, as_json)
             )
+
+    @pytest.mark.parametrize(
+        "members, length",
+        [
+            ((), 1), ((), 3000), ((1,), 2), ((999,), 1000), ((1000,), 1001),
+            ((999, 1000, 1001), 1002), ((1000, 1999), 3000), ((2999,), 3000),
+            ((1, 999, 1000, 1001, 9999, 10000, 99999, 100000, 100001), 100_002),
+            (tuple(range(9990, 10011)) + tuple(range(99_990, 100_011)), 100_011),
+        ],
+        ids=["empty-k1", "empty-3-blocks", "1", "999", "1000", "999-1001",
+             "first-and-last-blocks-empty", "block-multiple", "digit-crossings",
+             "runs-across-10^4-and-10^5"],
+    )
+    def test_members_match_the_references(self, members, length):
+        flags = bytearray(length)
+        for v in members:
+            flags[v] = 1
+        suffixes = cli._suffixes()
+        for sep, reference in ((" ", " ".join(map(str, members))),
+                               (", ", json.dumps(list(members))[1:-1])):
+            pieces = []
+            cli._write_members(pieces.append, bytes(flags), sep, suffixes)
+            assert "".join(pieces) == reference
+            # no empty write, so an empty block writes nothing at all
+            assert all(pieces)
 
     def test_gamma_forest(self, tmp_path, capsys):
         path = tmp_path / "forest.par"
@@ -292,7 +333,28 @@ class TestWriterMatchesReference:
         ))
         parents = cli.parse_parent_file(path.read_text())
         dom = cli.forest_domination(parents)
-        assert len(dom) > 2 * cli._CHUNK
+        assert len(dom) > 2 * cli._BLOCK
+        self._check_gamma_forest(path, parents, dom, capsys)
+
+    @pytest.mark.parametrize("shape", ["cherries", "path-block-multiple"])
+    def test_gamma_forest_at_block_ends(self, shape, tmp_path, capsys):
+        block = cli._BLOCK
+        if shape == "cherries":
+            # roots 1..k, each with one middle child and that child's leaf:
+            # the set is the middles, k + 1..2k, so with k = block - 1 the
+            # first and the last blocks of labels hold no member
+            k = block - 1
+            parents = ParentArray(3 * k, (0,) * k + tuple(range(1, 2 * k + 1)))
+        else:
+            # a path rooted at 1 whose flags end exactly at a block's end
+            parents = ParentArray(3 * block - 1, tuple(range(3 * block - 1)))
+        path = tmp_path / f"{shape}.par"
+        path.write_text(format_parent_file(parents))
+        dom = cli.forest_domination(parents)
+        if shape == "cherries":
+            assert dom == tuple(range(block, 2 * block - 1))
+        else:
+            assert (parents.n + 1) % block == 0
         self._check_gamma_forest(path, parents, dom, capsys)
 
     @staticmethod
