@@ -11,8 +11,10 @@ clibench/).  Every run is ``python3 clibench/run.py --workload W --seed S``
 started inside one checkout.  Pair i of a workload runs seed SEED + i on
 both sides; the side that runs first alternates from pair to pair.  The
 file holds every pair, each side's quartiles per end-to-end metric, how
-many pairs the change won, and one ``--trace 1`` run per side for each
---traced workload.  A run is never retried or dropped.
+many pairs the change won, and TRACED_RUNS ``--trace 1`` runs per side
+for each --traced workload with each per-layer metric's median over them.
+The traced runs of one workload use one seed per run on both sides, in
+alternating order.  A run is never retried or dropped.
 """
 
 import argparse
@@ -24,6 +26,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+# one traced run per side reads too noisy for a per-layer change on a
+# shared machine
+TRACED_RUNS = 3
 BETTER = {"setup_s": -1, "call_p50_s": -1, "vertices_per_s": 1,
           "instances_per_s": 1, "peak_rss_mb": -1, "ok_frac": 1}
 
@@ -51,6 +56,15 @@ def quartiles(values: list[float]) -> dict:
         return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def medians(runs: list[dict]) -> dict:
+    """Each metric's median over the runs that report it."""
+    values: dict[str, list[float]] = {}
+    for one in runs:
+        for metric, entry in one["result"]["metrics"].items():
+            values.setdefault(metric, []).append(entry["value"])
+    return {metric: statistics.median(vals) for metric, vals in values.items()}
 
 
 def main() -> int:
@@ -107,9 +121,15 @@ def main() -> int:
             summary[metric]["pairs"] = len(pairs)
         bench["workloads"][workload] = {"pairs": pairs, "summary": summary}
     for workload in args.traced:
-        bench["traced"][workload] = {side: run(path, workload, seed, 1)
-                                     for side, path in sides.items()}
-        seed += 1
+        runs = {side: [] for side in sides}
+        for i in range(TRACED_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(run(sides[side], workload, seed, 1))
+            seed += 1
+        bench["traced"][workload] = {
+            side: {"runs": side_runs, "medians": medians(side_runs)}
+            for side, side_runs in runs.items()
+        }
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 

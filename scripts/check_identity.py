@@ -34,9 +34,34 @@ FAMILIES = {
 }
 
 
+# The inputs that solve must reject with exit 1 and a line-numbered error.
+# solve reads an .edg that lexes but holds no tree twice, the second time
+# through the checking parser, which names the line; the .edg files cover
+# each of its checks.
+EXIT_1 = {
+    "non-ascii.par": "3\n0 1 é\n".encode(),
+    "bare-cr.par": b"3\n0 1\r1\n",
+    "second-root.par": b"3\n0 1 0\n",
+    "over-cap.par": b"2\n0 " + b"1" * 5000 + b"\n",
+    "duplicate-edge.edg": b"4\n1 2\n2 3\n2 1\n",
+    "too-few-lines.edg": b"3\n1 2\n",
+    "too-many-lines.edg": b"3\n1 2\n2 3\n1 3\n",
+    "one-label.edg": b"3\n1 2\n3\n",
+    "labels-split-wrongly.edg": b"3\n1 2 3\n4\n",
+    "three-labels-balanced-by-one.edg": b"3\n1 2 3\n2\n",
+    "self-loop.edg": b"3\n1 1\n2 3\n",
+    "label-0.edg": b"3\n0 1\n1 2\n",
+    "label-n-plus-1.edg": b"3\n1 2\n2 4\n",
+    "label-10-100.edg": f"3\n1 2\n2 {10**100}\n".encode(),
+    "cycle.edg": b"5\n4 5\n\n2 1\n3 2\n1 3\n",
+    "blank-lines-crlf.edg": b"\r\n3\r\n\r\n1 2\r\n\r\n2 1\r\n",
+    "sign.edg": b"3\n1 2\n2 +3\n",
+    "non-ascii.edg": "3\n1 2\n2 \uff13\n".encode(),
+}
+
+
 def inputs() -> dict[str, bytes]:
-    """The input files, by name: valid trees and forests, then the five
-    exit-1 cases."""
+    """The input files, by name: valid trees and forests, then EXIT_1."""
     rng = random.Random(14)
     n = 2000
     parent = [0] + [rng.randint(1, i) for i in range(1, n)]
@@ -72,11 +97,7 @@ def inputs() -> dict[str, bytes]:
                             .encode()),
         "star.edg": (f"{big}\n" + "".join(f"{u} {v}\n" for u, v in star)).encode(),
         "large-forest.par": f"{2 * big}\n{' '.join(map(str, forest))}\n".encode(),
-        "non-ascii.par": "3\n0 1 é\n".encode(),
-        "bare-cr.par": b"3\n0 1\r1\n",
-        "second-root.par": b"3\n0 1 0\n",
-        "duplicate-edge.edg": b"4\n1 2\n2 3\n2 1\n",
-        "over-cap.par": b"2\n0 " + b"1" * 5000 + b"\n",
+        **EXIT_1,
     }
 
 
@@ -92,9 +113,7 @@ def calls() -> list[list[str]]:
     out.append(["verify", "--mode", "exhaustive", "--max-n", "7", "--report", "report.json"])
     out.append(["verify", "--mode", "random", "--max-n", "16", "--count", "60",
                 "--seed", "1", "--report", "report.json"])
-    for name in ("non-ascii.par", "bare-cr.par", "second-root.par",
-                 "duplicate-edge.edg", "over-cap.par"):
-        out.append(["solve", name])
+    out += [["solve", name] for name in EXIT_1]
     return out
 
 

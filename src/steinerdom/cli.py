@@ -21,6 +21,7 @@ from .tree_model import (
     ParseError,
     TreeModelError,
     ValidationError,
+    _read_edge_tree,
     format_parent_file,
     parse_edge_list,
     parse_parent_file,
@@ -100,9 +101,12 @@ def _build_parser() -> _Parser:
 def _solve_file(path_text: str, fmt: str):
     """Parse one tree file and run the construction on it: (n, result).
 
-    A second .par root and an .edg edge closing a cycle are found after
-    parsing, by validate and relabel_bfs, which know the parent entry or
-    edge but not its line; the file's text names the line here.
+    An .edg file that holds a tree is read into the BFS's rows directly;
+    any other .edg file is read again by parse_edge_list and relabel_bfs,
+    whose errors name the line.  A second .par root and an .edg edge
+    closing a cycle are found after parsing, by validate and relabel_bfs,
+    which know the parent entry or edge but not its line; the file's text
+    names the line here.
     """
     path = Path(path_text)
     if fmt == "auto":
@@ -116,14 +120,18 @@ def _solve_file(path_text: str, fmt: str):
                 f"cannot infer format of {path.name or path_text!r}; "
                 "pass --format par|edg"
             )
-    text = read_ascii_file(path)
     try:
         if fmt == "par":
+            text = read_ascii_file(path)
             parents = parse_parent_file(text)
+            # the text is as large as the tree; the error path reads it again
+            del text
         else:
-            parents = relabel_bfs(parse_edge_list(text))[0]
-        # the text is as large as the tree; the error path reads it again
-        del text
+            parents = _read_edge_tree(path)
+            if parents is None:
+                # not a tree in the .edg format: the checking parser and
+                # relabel_bfs raise the error that names its line
+                parents = relabel_bfs(parse_edge_list(read_ascii_file(path)))[0]
         # the parent tuple is freed with this frame, before the output
         return parents.n, steiner_domination(parents)
     except ValidationError as exc:

@@ -302,25 +302,65 @@ def parse_edge_list(text: str) -> EdgeList:
     input.
     """
     n, lines, linenos, values = _lex(text)
-    if len(linenos) != n:
-        raise ParseError(
-            f"line {linenos[0]}: expected {n - 1} edge lines for {n} vertices, "
-            f"found {len(linenos) - 1}"
-        )
-    # token counts of the non-blank lines, aligned with linenos; the lines
-    # are as large as the text, so they go before the edges are built
-    counts = list(filter(None, map(len, map(str.split, lines))))
+    error = _edge_lines_error(n, lines, linenos)
+    # the lines are as large as the text, so they go before the edges are built
     del lines
-    if counts.count(2) != n - 1:
-        k = next(k for k in range(1, n) if counts[k] != 2)
-        raise ParseError(
-            f"line {linenos[k]}: expected an edge 'u v', found {counts[k]} labels"
-        )
+    if error is not None:
+        raise ParseError(error)
     try:
         return EdgeList(n, tuple(zip(values[0::2], values[1::2])))
     except ValidationError as exc:
         # edge i sits on the (i + 1)-th line after the vertex count
         raise ParseError(f"line {linenos[exc.position + 1]}: {exc}") from None
+
+
+def _edge_lines_error(n: int, lines: list[str], linenos: list[int]) -> str | None:
+    """The ParseError message for the first line of a lexed .edg text that
+    breaks its line structure, n - 1 lines of two labels each after the
+    vertex count; None if no line does."""
+    if len(linenos) != n:
+        return (
+            f"line {linenos[0]}: expected {n - 1} edge lines for {n} vertices, "
+            f"found {len(linenos) - 1}"
+        )
+    # token counts of the non-blank lines, aligned with linenos
+    counts = list(filter(None, map(len, map(str.split, lines))))
+    if counts.count(2) != n - 1:
+        k = next(k for k in range(1, n) if counts[k] != 2)
+        return f"line {linenos[k]}: expected an edge 'u v', found {counts[k]} labels"
+    return None
+
+
+def _read_edge_tree(path: str | os.PathLike) -> ParentArray | None:
+    """``relabel_bfs(parse_edge_list(read_ascii_file(path)))[0]`` for an
+    .edg file that holds a tree, built with no EdgeList and no edge tuples:
+    the tokens fill relabel_bfs's adjacency rows directly.
+
+    Returns None for a file that lexes but is not a tree in the .edg
+    format, so that the caller can run the checking parser for its
+    message; read_ascii_file's and _lex's errors are raised as they are.
+    Only the line structure and the label range are checked before the
+    BFS: n - 1 edges whose BFS reaches all n vertices form a tree, so they
+    hold no self-loop and no edge twice.
+    """
+    # the text is _lex's argument only, so it is freed before the rows exist
+    n, lines, linenos, values = _lex(read_ascii_file(path))
+    if _edge_lines_error(n, lines, linenos) is not None:
+        return None
+    del lines, linenos
+    # an out-of-range label would index past the rows, or into rows[0]
+    if values and not (min(values) >= 1 and max(values) <= n):
+        return None
+    rows: list[list[int]] = [[] for _ in range(n + 1)]
+    ends = iter(values)
+    for u, v in zip(ends, ends):
+        rows[u].append(v)
+        rows[v].append(u)
+    del values, ends
+    try:
+        return _relabel_rows(n, rows)[0]
+    except ValidationError:
+        return None
 
 
 def position_line(text: str, position: int) -> int:
@@ -389,9 +429,10 @@ def _relabel_rows(
     n: int, rows: list[list[int]], root: int | None = None
 ) -> tuple[ParentArray, tuple[int, ...]]:
     """relabel_bfs's BFS over adjacency rows, ``rows[v]`` for v in 1..n and
-    an empty ``rows[0]``.  It sorts the rows and empties ``rows`` before
-    building its output; if the BFS reaches fewer than n vertices, the
-    ValidationError says how many it reached."""
+    an empty ``rows[0]``.  It sorts the rows, frees each row once the BFS
+    has walked it and empties ``rows`` before building its output; if the
+    BFS reaches fewer than n vertices, the ValidationError says how many it
+    reached."""
     any(map(list.sort, rows))  # sort returns None, so any() sorts every row
     if root is None:
         deg = list(map(len, rows))
@@ -406,12 +447,17 @@ def _relabel_rows(
     order = [root]  # the BFS queue: the loop walks it while it grows
     for old in order:
         p = new_of[old]
-        for nbr in rows[old]:
+        # a row is walked once and freed at the next step, so the rows
+        # shrink as the BFS's lists grow
+        row = rows[old]
+        rows[old] = None
+        for nbr in row:
             if not new_of[nbr]:
                 assigned += 1
                 new_of[nbr] = assigned
                 parent[assigned - 1] = p
                 order.append(nbr)
+    del row
     rows.clear()
     del order
     if assigned != n:
@@ -419,7 +465,10 @@ def _relabel_rows(
             f"edge list is disconnected: reached {assigned} of {n} vertices"
         )
     # a vertex's parent was labelled before it, so every entry is in range
-    return ParentArray._trusted(n, tuple(parent)), tuple(new_of[1:])
+    tree = ParentArray._trusted(n, tuple(parent))
+    del parent
+    del new_of[0]  # no vertex has label 0; the label map starts at vertex 1
+    return tree, tuple(new_of)
 
 
 def _first_cycle_edge(n: int, edges: tuple[tuple[int, int], ...]) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -79,3 +80,45 @@ def reference_prufer_edges(n: int, seq) -> EdgeList:
             heappush(leaves, x)
     edges.append((heappop(leaves), heappop(leaves)))
     return EdgeList(n, tuple(reversed(edges)))
+
+
+def shuffled_edg(pa: ParentArray, rng, newline: str = "\n") -> str:
+    """pa's tree as .edg text with its labels permuted, its edges in random
+    order and orientation, and a blank line after the count."""
+    label = list(range(1, pa.n + 1))
+    rng.shuffle(label)
+    edges = [
+        (label[p - 1], label[v - 1]) if rng.random() < 0.5 else (label[v - 1], label[p - 1])
+        for v, p in enumerate(pa.parent, start=1) if p
+    ]
+    rng.shuffle(edges)
+    lines = [str(pa.n), "", *(f"{u} {v}" for u, v in edges)]
+    return newline.join(lines) + newline
+
+
+# .edg texts that parse_edge_list rejects, each with a line-numbered ParseError
+MALFORMED_EDG = [
+    "3\n1 2\n",  # needs exactly n-1 edge lines
+    "3\n1 2\n2 3\n1 3\n",  # too many lines
+    "3\n1 2\n2 9\n",  # label out of range
+    "3\n1 2\n3\n",  # not two labels
+    "3\n1 2\na b\n",  # non-integer
+    "2\n1 1\n",  # self loop
+    pytest.param("3\n1 2\n2 +3\n", id="sign"),
+    pytest.param("3\n1 2\n2 \uff13\n", id="full-width-digit"),
+    pytest.param("3\n1 2\n2 1\n", id="duplicate-edge"),
+    pytest.param("3\n1 2 3\n4\n", id="labels-split-wrongly"),
+]
+
+# .edg inputs that pass the lexer but hold no tree, each aimed at one check
+# that the direct read of a tree runs before, or instead of, the EdgeList's
+NOT_A_TREE_EDG = [
+    pytest.param("3\n1 1\n2 3\n", id="self-loop"),
+    pytest.param("3\n0 1\n1 2\n", id="label-0"),
+    pytest.param("3\n1 2\n2 4\n", id="label-n-plus-1"),
+    pytest.param(f"3\n1 2\n2 {10**100}\n", id="label-10^100"),
+    pytest.param("4\n1 2\n2 3\n3 1\n", id="cycle-leaves-a-vertex-unreached"),
+    # its four labels make the edges (1, 2) and (3, 2), a tree
+    pytest.param("3\n1 2 3\n2\n", id="three-labels-balanced-by-one"),
+    pytest.param("\r\n3\r\n\r\n1 2\r\n\r\n2 1\r\n", id="blank-lines-crlf"),
+]

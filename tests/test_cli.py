@@ -24,7 +24,7 @@ from steinerdom import cli
 from steinerdom.bench import BenchRecord
 from steinerdom.cli import main
 
-from conftest import reference_prufer_edges
+from conftest import MALFORMED_EDG, NOT_A_TREE_EDG, reference_prufer_edges, shuffled_edg
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -146,6 +146,30 @@ class TestSolve:
         assert err.count("\n") == 1
         assert err.startswith(f"steinerdom solve: error: line {line}: ")
         assert named in err
+
+    @pytest.mark.parametrize("text", MALFORMED_EDG + NOT_A_TREE_EDG)
+    def test_edg_errors_match_the_checking_path(self, text, tmp_path, capsys, monkeypatch):
+        """An .edg that holds no tree exits 1 with the very line that
+        parse_edge_list and relabel_bfs alone give."""
+        path = tmp_path / "in.edg"
+        path.write_bytes(text.encode())
+        assert run_cli(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("steinerdom solve: error: line ") and err.count("\n") == 1
+        monkeypatch.setattr(cli, "_read_edge_tree", lambda path: None)
+        assert run_cli(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1500])
+    def test_edg_trees_match_the_checking_path(self, n, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "tree.edg"
+        parents = cli.gen(cli.GeneratorSpec("prufer", n, n))
+        path.write_text(shuffled_edg(parents, random.Random(n)))
+        assert run_cli(["solve", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_read_edge_tree", lambda path: None)
+        assert run_cli(["solve", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_many_roots_give_a_short_error(self, tmp_path, capsys):
         path = tmp_path / "forest.par"
@@ -397,14 +421,21 @@ class TestSolveMemory:
     57.4-58.9 B/v on the path, 50.6 on the Prufer tree, 16.9 on the star
     and 49.6 on the caterpillar (Python 3.11); each limit is the highest
     reading plus 15%.  While steiner_domination built the three lists as
-    tuples of ints they were 84.3-85.8, 74.9, 64.3 and 73.5."""
+    tuples of ints they were 84.3-85.8, 74.9, 64.3 and 73.5.
+
+    The .edg files hold the path, the Prufer tree and the star with
+    shuffled labels and lines.  Read straight into the BFS's rows they
+    measured 188.0, 187.9 and 216.2 B/v; through an EdgeList and its edge
+    tuples they were 283.0, 283.6 and 291.0."""
 
     @pytest.mark.parametrize(
         "shape, limit",
-        [("path", 68), ("prufer", 59), ("star", 20), ("caterpillar", 58)],
+        [("path", 68), ("prufer", 59), ("star", 20), ("caterpillar", 58),
+         ("path.edg", 217), ("prufer.edg", 217), ("star.edg", 249)],
     )
     def test_peak_per_vertex(self, shape, limit, tmp_path):
         n = 10**5
+        shape, _, suffix = shape.partition(".")
         if shape == "path":
             parents = ParentArray(n, tuple(range(n)))
         elif shape == "prufer":
@@ -414,8 +445,11 @@ class TestSolveMemory:
         else:
             parents = _caterpillar(n // 3)
             n = parents.n
-        path = tmp_path / f"{shape}.par"
-        path.write_text(format_parent_file(parents))
+        path = tmp_path / f"{shape}.{suffix or 'par'}"
+        if suffix:
+            path.write_text(shuffled_edg(parents, random.Random(n)))
+        else:
+            path.write_text(format_parent_file(parents))
         del parents
         # a file, not a capture buffer, so that the output is not held
         with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):

@@ -1,9 +1,11 @@
 """Data model: parsing, validation, relabeling, neighborhood primitives."""
 
 import sys
+import tempfile
 from collections import deque
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -28,7 +30,16 @@ from steinerdom import (
 )
 from steinerdom import tree_model
 
-from conftest import adjacency, forest_arrays, path_array, star_array, tree_arrays
+from conftest import (
+    MALFORMED_EDG,
+    NOT_A_TREE_EDG,
+    adjacency,
+    forest_arrays,
+    path_array,
+    shuffled_edg,
+    star_array,
+    tree_arrays,
+)
 
 
 class TestParentArray:
@@ -129,21 +140,7 @@ class TestParseEdgeList:
         el = parse_edge_list("5\n1 2\n2 3\n3 4\n4 5\n")
         assert el.n == 5 and len(el.edges) == 4
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "3\n1 2\n",  # needs exactly n-1 edge lines
-            "3\n1 2\n2 3\n1 3\n",  # too many lines
-            "3\n1 2\n2 9\n",  # label out of range
-            "3\n1 2\n3\n",  # not two labels
-            "3\n1 2\na b\n",  # non-integer
-            "2\n1 1\n",  # self loop
-            pytest.param("3\n1 2\n2 +3\n", id="sign"),
-            pytest.param("3\n1 2\n2 \uff13\n", id="full-width-digit"),
-            pytest.param("3\n1 2\n2 1\n", id="duplicate-edge"),
-            pytest.param("3\n1 2 3\n4\n", id="labels-split-wrongly"),
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED_EDG)
     def test_malformed(self, text):
         with pytest.raises(ParseError, match=r"^line \d+: "):
             parse_edge_list(text)
@@ -161,6 +158,54 @@ class TestParseEdgeList:
 
 # the grammar's characters plus a few that it must reject
 _FUZZ_ALPHABET = st.sampled_from(list("0123456789 \t\r\n+_-\uff12\xff"))
+
+
+def _result(call):
+    """What call() returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _read_edge_tree_agrees(path):
+    """Assert that tree_model._read_edge_tree on the file at path returns
+    the tree that ``relabel_bfs(parse_edge_list(...))`` returns, or, where
+    that raises, returns None or raises the same error (the lexer's
+    errors).  Returns the checking path's result."""
+    expected = _result(lambda: relabel_bfs(parse_edge_list(tree_model.read_ascii_file(path)))[0])
+    got = _result(lambda: tree_model._read_edge_tree(path))
+    if isinstance(expected, ParentArray):
+        assert got == expected
+    else:
+        assert got is None or got == expected, (got, expected)
+    return expected
+
+
+class TestReadEdgeTree:
+    """The direct read of an .edg tree against the checking path."""
+
+    @pytest.mark.parametrize("text", MALFORMED_EDG + NOT_A_TREE_EDG)
+    def test_hands_every_non_tree_back_or_raises_the_same(self, text, tmp_path):
+        path = tmp_path / "in.edg"
+        path.write_bytes(text.encode())
+        assert _read_edge_tree_agrees(path)[0] in (ParseError, ValidationError)
+
+    @given(tree_arrays(min_n=1, max_n=40), st.randoms(use_true_random=False),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_shuffled_trees_give_the_same_parent_array(self, pa, rng, newline):
+        text = shuffled_edg(pa, rng, newline)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tree.edg"
+            path.write_bytes(text.encode())
+            assert tree_model._read_edge_tree(path) == relabel_bfs(parse_edge_list(text))[0]
+
+    @given(text=st.text(_FUZZ_ALPHABET, max_size=40))
+    def test_any_text_agrees(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.edg"
+            path.write_bytes(text.encode())
+            _read_edge_tree_agrees(path)
 
 
 @pytest.mark.parametrize("parse", [parse_parent_file, parse_edge_list])
