@@ -9,9 +9,11 @@ directory that holds copies of the same input files, which this script
 writes itself.  Both sides run in the same path, one after the other, so
 that a path a call prints reads the same.  For each call it compares
 stdout, stderr, the exit code and every file the call wrote, and prints
-one line: ``same`` or ``DIFF`` with what differed.  It exits 1 if any call
-differed.  EXE defaults to the interpreter running this script; the CLI
-needs only the standard library.
+one line: ``same`` or ``DIFF`` with what differed.  Each solve input is
+also run once more through a pipe on stdin, as ``solve /dev/stdin
+--format par|edg < FILE``.  It exits 1 if any call differed.  EXE
+defaults to the interpreter running this script; the CLI needs only the
+standard library.
 """
 
 import argparse
@@ -35,9 +37,9 @@ FAMILIES = {
 
 
 # The inputs that solve must reject with exit 1 and a line-numbered error.
-# solve reads an .edg that lexes but holds no tree twice, the second time
-# through the checking parser, which names the line; the .edg files cover
-# each of its checks.
+# solve reads its input once and names an error's line from that text, so
+# a pipe gets the error a file gets; the .edg files cover each check of the
+# checking parser that runs on an .edg that lexes but holds no tree.
 EXIT_1 = {
     "non-ascii.par": "3\n0 1 é\n".encode(),
     "bare-cr.par": b"3\n0 1\r1\n",
@@ -101,10 +103,14 @@ def inputs() -> dict[str, bytes]:
     }
 
 
-def calls() -> list[list[str]]:
+SOLVE_INPUTS = ("fixture.par", "tree.par", "tree.edg", "path.par", "star.edg",
+                "star.par", "caterpillar.par", "path-120k.par", "star-120k.par")
+
+
+def calls() -> list[tuple[list[str], str | None]]:
+    """Every call as (argv, the input file piped to its stdin or None)."""
     out = []
-    for name in ("fixture.par", "tree.par", "tree.edg", "path.par", "star.edg",
-                 "star.par", "caterpillar.par", "path-120k.par", "star-120k.par"):
+    for name in SOLVE_INPUTS:
         out += [["solve", name], ["solve", name, "--json"]]
     for name in ("forest.par", "large-forest.par", "path-120k.par"):
         out += [["gamma-forest", name], ["gamma-forest", name, "--json"]]
@@ -114,18 +120,24 @@ def calls() -> list[list[str]]:
     out.append(["verify", "--mode", "random", "--max-n", "16", "--count", "60",
                 "--seed", "1", "--report", "report.json"])
     out += [["solve", name] for name in EXIT_1]
+    out = [(argv, None) for argv in out]
+    out += [(["solve", "/dev/stdin", "--format", name.rpartition(".")[2]], name)
+            for name in (*SOLVE_INPUTS, *EXIT_1)]
     return out
 
 
-def run(checkout: Path, python: str, argv: list[str], files: dict[str, bytes],
-        work: Path) -> tuple:
-    """One call in a fresh directory: (stdout, stderr, exit code, written files)."""
+def run(checkout: Path, python: str, argv: list[str], stdin: str | None,
+        files: dict[str, bytes], work: Path) -> tuple:
+    """One call in a fresh directory, with the input file named by stdin
+    written to a pipe on its stdin: (stdout, stderr, exit code, written
+    files)."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
     for name, data in files.items():
         (work / name).write_bytes(data)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([python, "-m", "steinerdom", *argv], cwd=work, env=env,
+                          input=b"" if stdin is None else files[stdin],
                           capture_output=True, timeout=600)
     written = {
         name: path.read_bytes()
@@ -144,8 +156,9 @@ def main() -> int:
     files = inputs()
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in calls():
-            old, new = (run(side.resolve(), args.python, argv, files, Path(tmp) / "work")
+        for argv, stdin in calls():
+            old, new = (run(side.resolve(), args.python, argv, stdin, files,
+                            Path(tmp) / "work")
                         for side in (args.parent, args.change))
             what = [part for part, a, b in zip(("stdout", "stderr", "exit code"), old, new)
                     if a != b]
@@ -154,7 +167,8 @@ def main() -> int:
             differ += bool(what)
             status = f"DIFF ({', '.join(what)})" if what else "same"
             print(f"{status}  exit {old[2]}  {len(old[3])} files  "
-                  f"steinerdom {' '.join(argv)}", flush=True)
+                  f"steinerdom {' '.join(argv)}{'' if stdin is None else ' < ' + stdin}",
+                  flush=True)
     print(f"{differ} of {len(calls())} calls differ")
     return 1 if differ else 0
 

@@ -28,6 +28,7 @@ from .tree_model import (
     position_line,
     read_ascii_file,
     relabel_bfs,
+    validate,
 )
 
 
@@ -101,12 +102,11 @@ def _build_parser() -> _Parser:
 def _solve_file(path_text: str, fmt: str):
     """Parse one tree file and run the construction on it: (n, result).
 
-    An .edg file that holds a tree is read into the BFS's rows directly;
-    any other .edg file is read again by parse_edge_list and relabel_bfs,
-    whose errors name the line.  A second .par root and an .edg edge
-    closing a cycle are found after parsing, by validate and relabel_bfs,
-    which know the parent entry or edge but not its line; the file's text
-    names the line here.
+    The file is read once, so a pipe gets the errors a file gets.  An .edg
+    tree is read into the BFS's rows directly; any other .edg text goes to
+    parse_edge_list and relabel_bfs, whose errors name the line.  validate
+    and relabel_bfs find a second .par root or an .edg cycle after parsing
+    and know its entry or edge, from which the text names the line here.
     """
     path = Path(path_text)
     if fmt == "auto":
@@ -120,25 +120,25 @@ def _solve_file(path_text: str, fmt: str):
                 f"cannot infer format of {path.name or path_text!r}; "
                 "pass --format par|edg"
             )
+    text = read_ascii_file(path)
     try:
         if fmt == "par":
-            text = read_ascii_file(path)
             parents = parse_parent_file(text)
-            # the text is as large as the tree; the error path reads it again
-            del text
+            # steiner_domination's check, made while the text can name the line
+            validate(parents)
         else:
-            parents = _read_edge_tree(path)
+            parents = _read_edge_tree(text)
             if parents is None:
-                # not a tree in the .edg format: the checking parser and
-                # relabel_bfs raise the error that names its line
-                parents = relabel_bfs(parse_edge_list(read_ascii_file(path)))[0]
-        # the parent tuple is freed with this frame, before the output
-        return parents.n, steiner_domination(parents)
+                # not a tree: the checking parser and relabel_bfs raise the
+                # error that names its line
+                parents = relabel_bfs(parse_edge_list(text))[0]
     except ValidationError as exc:
         if exc.position is None:
             raise
-        line = position_line(read_ascii_file(path), exc.position)
-        raise ParseError(f"line {line}: {exc}") from None
+        raise ParseError(f"line {position_line(text, exc.position)}: {exc}") from None
+    del text  # as large as the tree, and freed before the forest pass
+    # the parent tuple is freed with this frame, before the output
+    return parents.n, steiner_domination(parents)
 
 
 # labels per write: a block's text is a few kB, and no output exists

@@ -331,23 +331,23 @@ def _edge_lines_error(n: int, lines: list[str], linenos: list[int]) -> str | Non
     return None
 
 
-def _read_edge_tree(path: str | os.PathLike) -> ParentArray | None:
-    """``relabel_bfs(parse_edge_list(read_ascii_file(path)))[0]`` for an
-    .edg file that holds a tree, built with no EdgeList and no edge tuples:
-    the tokens fill relabel_bfs's adjacency rows directly.
+def _read_edge_tree(text: str) -> ParentArray | None:
+    """``relabel_bfs(parse_edge_list(text))[0]`` for an .edg text that
+    holds a tree, built with no EdgeList and no edge tuples: the tokens
+    fill relabel_bfs's adjacency rows directly.
 
-    Returns None for a file that lexes but is not a tree in the .edg
-    format, so that the caller can run the checking parser for its
-    message; read_ascii_file's and _lex's errors are raised as they are.
-    Only the line structure and the label range are checked before the
-    BFS: n - 1 edges whose BFS reaches all n vertices form a tree, so they
-    hold no self-loop and no edge twice.
+    _lex's errors and parse_edge_list's line-structure error are raised as
+    that parser raises them.  Returns None for a text with the .edg line
+    structure but no tree, a label outside 1..n or a BFS that misses a
+    vertex, so that the caller can run the checking path for its message.
+    n - 1 edges whose BFS reaches all n vertices form a tree, so they hold
+    no self-loop and no edge twice.
     """
-    # the text is _lex's argument only, so it is freed before the rows exist
-    n, lines, linenos, values = _lex(read_ascii_file(path))
-    if _edge_lines_error(n, lines, linenos) is not None:
-        return None
+    n, lines, linenos, values = _lex(text)
+    error = _edge_lines_error(n, lines, linenos)
     del lines, linenos
+    if error is not None:
+        raise ParseError(error)
     # an out-of-range label would index past the rows, or into rows[0]
     if values and not (min(values) >= 1 and max(values) <= n):
         return None

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -156,7 +157,7 @@ class TestSolve:
         assert run_cli(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("steinerdom solve: error: line ") and err.count("\n") == 1
-        monkeypatch.setattr(cli, "_read_edge_tree", lambda path: None)
+        monkeypatch.setattr(cli, "_read_edge_tree", lambda text: None)
         assert run_cli(["solve", str(path)]) == 1
         assert capsys.readouterr().err == err
 
@@ -167,7 +168,7 @@ class TestSolve:
         path.write_text(shuffled_edg(parents, random.Random(n)))
         assert run_cli(["solve", str(path), "--json"]) == 0
         out = capsys.readouterr().out
-        monkeypatch.setattr(cli, "_read_edge_tree", lambda path: None)
+        monkeypatch.setattr(cli, "_read_edge_tree", lambda text: None)
         assert run_cli(["solve", str(path), "--json"]) == 0
         assert capsys.readouterr().out == out
 
@@ -191,6 +192,52 @@ class TestSolve:
             assert run_cli([command, str(path)]) == 1
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "line 2" in err
+
+
+def _write_and_close(fd, data):
+    with open(fd, "wb") as fh:
+        fh.write(data)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipedInput:
+    """A pipe's bytes give the stdout, stderr and exit code that the same
+    bytes give from a file: the input is read once, so no error is looked
+    up in a second read that finds the pipe empty."""
+
+    def _assert_same_as_file(self, argv, data, tmp_path, capsys):
+        path = tmp_path / "in"
+        path.write_bytes(data)
+        from_file = run_cli([argv[0], str(path), *argv[1:]]), capsys.readouterr()
+        read_end, write_end = os.pipe()
+        # a thread writes, so that no input need fit in the pipe's buffer
+        writer = threading.Thread(target=_write_and_close, args=(write_end, data))
+        writer.start()
+        try:
+            from_pipe = run_cli([argv[0], f"/dev/fd/{read_end}", *argv[1:]]), capsys.readouterr()
+        finally:
+            os.close(read_end)
+            writer.join()
+        assert from_pipe == from_file
+
+    @pytest.mark.parametrize("text", MALFORMED_EDG + NOT_A_TREE_EDG + [
+        pytest.param(shuffled_edg(cli.gen(cli.GeneratorSpec("prufer", 300, 3)),
+                                  random.Random(3)), id="shuffled-prufer-300"),
+    ])
+    def test_edg(self, text, tmp_path, capsys):
+        self._assert_same_as_file(["solve", "--format", "edg"], text.encode(), tmp_path, capsys)
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"3\n0 1 0\n", id="second-root"),
+        pytest.param(b"3\n0 1 x\n", id="malformed"),
+        pytest.param((Path(__file__).resolve().parent.parent / "fixtures"
+                      / "theorem1-audit-8.par").read_bytes(), id="fixture"),
+    ])
+    def test_par(self, data, tmp_path, capsys):
+        self._assert_same_as_file(["solve", "--format", "par", "--json"], data, tmp_path, capsys)
+
+    def test_gamma_forest(self, tmp_path, capsys):
+        self._assert_same_as_file(["gamma-forest"], FOREST_PAR.encode(), tmp_path, capsys)
 
 
 class TestGammaForest:

@@ -46,7 +46,7 @@ def test_gen_and_solve_load_no_audit_or_bench_code(tmp_path):
         assert "steinerdom.steiner_domination" in loaded, argv
         assert not loaded & AUDIT_AND_BENCH, argv
         assert not loaded & ON_NO_PATH, argv
-        # solve --json writes its line from a template, not through json
+        # solve --json writes its line piece by piece, not through json
         assert "json" not in loaded, argv
     # the probe sees the modules a command does load
     loaded = _imports(["verify", "--mode", "exhaustive", "--max-n", "2"], tmp_path)
@@ -64,7 +64,8 @@ def test_gamma_forest_and_bench_load_no_dataclasses_or_inspect(tmp_path):
         loaded = _imports(argv, tmp_path)
         assert module in loaded, argv
         assert not loaded & ON_NO_PATH, argv
-        # gamma-forest --json writes from a template and bench writes CSV
+        # gamma-forest --json writes its line piece by piece and bench
+        # writes CSV
         assert "json" not in loaded, argv
 
 

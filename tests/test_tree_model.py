@@ -1,11 +1,9 @@
 """Data model: parsing, validation, relabeling, neighborhood primitives."""
 
 import sys
-import tempfile
 from collections import deque
 from itertools import combinations
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -168,13 +166,13 @@ def _result(call):
         return type(exc), str(exc)
 
 
-def _read_edge_tree_agrees(path):
-    """Assert that tree_model._read_edge_tree on the file at path returns
-    the tree that ``relabel_bfs(parse_edge_list(...))`` returns, or, where
-    that raises, returns None or raises the same error (the lexer's
-    errors).  Returns the checking path's result."""
-    expected = _result(lambda: relabel_bfs(parse_edge_list(tree_model.read_ascii_file(path)))[0])
-    got = _result(lambda: tree_model._read_edge_tree(path))
+def _read_edge_tree_agrees(text):
+    """Assert that tree_model._read_edge_tree on text returns the tree that
+    ``relabel_bfs(parse_edge_list(text))`` returns, or, where that raises,
+    returns None or raises the same error (the lexer's and the line
+    structure's errors).  Returns the checking path's result."""
+    expected = _result(lambda: relabel_bfs(parse_edge_list(text))[0])
+    got = _result(lambda: tree_model._read_edge_tree(text))
     if isinstance(expected, ParentArray):
         assert got == expected
     else:
@@ -186,26 +184,24 @@ class TestReadEdgeTree:
     """The direct read of an .edg tree against the checking path."""
 
     @pytest.mark.parametrize("text", MALFORMED_EDG + NOT_A_TREE_EDG)
-    def test_hands_every_non_tree_back_or_raises_the_same(self, text, tmp_path):
-        path = tmp_path / "in.edg"
-        path.write_bytes(text.encode())
-        assert _read_edge_tree_agrees(path)[0] in (ParseError, ValidationError)
+    def test_hands_every_non_tree_back_or_raises_the_same(self, text):
+        assert _read_edge_tree_agrees(text)[0] in (ParseError, ValidationError)
+
+    @pytest.mark.parametrize("text", ["3\n1 2\n", "3\n1 2\n3\n", "3\n1 2 3\n4\n"])
+    def test_raises_line_structure_errors_itself(self, text):
+        with pytest.raises(ParseError) as exc:
+            tree_model._read_edge_tree(text)
+        assert _result(lambda: parse_edge_list(text)) == (ParseError, str(exc.value))
 
     @given(tree_arrays(min_n=1, max_n=40), st.randoms(use_true_random=False),
            st.sampled_from(["\n", "\r\n"]))
     def test_shuffled_trees_give_the_same_parent_array(self, pa, rng, newline):
         text = shuffled_edg(pa, rng, newline)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "tree.edg"
-            path.write_bytes(text.encode())
-            assert tree_model._read_edge_tree(path) == relabel_bfs(parse_edge_list(text))[0]
+        assert tree_model._read_edge_tree(text) == relabel_bfs(parse_edge_list(text))[0]
 
     @given(text=st.text(_FUZZ_ALPHABET, max_size=40))
     def test_any_text_agrees(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "in.edg"
-            path.write_bytes(text.encode())
-            _read_edge_tree_agrees(path)
+        _read_edge_tree_agrees(text)
 
 
 @pytest.mark.parametrize("parse", [parse_parent_file, parse_edge_list])
