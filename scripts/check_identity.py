@@ -119,6 +119,9 @@ def calls() -> list[tuple[list[str], str | None]]:
     out.append(["verify", "--mode", "exhaustive", "--max-n", "7", "--report", "report.json"])
     out.append(["verify", "--mode", "random", "--max-n", "16", "--count", "60",
                 "--seed", "1", "--report", "report.json"])
+    # trees with 19 <= n <= 24 reach the Steiner oracle's leaf-superset search
+    out.append(["verify", "--mode", "random", "--max-n", "24", "--count", "200",
+                "--seed", "1", "--report", "report.json"])
     out += [["solve", name] for name in EXIT_1]
     out = [(argv, None) for argv in out]
     out += [(["solve", "/dev/stdin", "--format", name.rpartition(".")[2]], name)

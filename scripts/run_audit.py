@@ -2,8 +2,9 @@
 """Run the canonical three-part audit campaign and collect the artifacts.
 
 Covers the same ground as the acceptance gate: every tree on up to 9
-vertices, 2,000 random trees with n <= 16, within the unpruned oracle
-cap (n <= 18), and 2,000 more within the pruned cap (n <= 24).  Each part
+vertices, 2,000 random trees with n <= 16, all answered by the Steiner
+oracle's bit-sliced search (n <= 18), and 2,000 more with n <= 24, where
+it searches leaf supersets above n = 18.  Each part
 writes a JSON report and a directory of discrepancy certificates under
 --out.
 

@@ -7,16 +7,17 @@ shares logic with the linear labeling passes it is used to check:
 - minimum dominating sets by bit-sliced evaluation over every subset,
   and the domination number by an independent dynamic program;
 - minimum Steiner dominating sets and Steiner numbers by bit-sliced
-  evaluation, or, in min_steiner_dominating_set's pruned mode, by
-  enumerating leaf supersets and pruning each candidate to its span.
+  evaluation, and, beyond the bit-sliced cap, minimum Steiner dominating
+  sets by enumerating leaf supersets and pruning each candidate to its
+  span.
 
 Bit-sliced evaluation lets bit s of one int stand for subset s of the n
 vertices, so a predicate is decided for all 2^n subsets by O(n) big-int
 AND/OR operations.  It tests the same definitions without the span
 pruning: a vertex is dominated when a member lies in its closed
 neighborhood, and it lies on the span when it is a member or two branches
-at it hold members.  The pruned mode therefore remains an independent
-check of the bit-sliced one.
+at it hold members.  The leaf-superset search therefore remains an
+independent check of the bit-sliced one.
 
 The public functions check their arguments on entry, with tree_model's
 single-tree and vertex-range checks; the enumerations then test their
@@ -291,47 +292,51 @@ def induced_forest(
     return build_adjacency(ParentArray(len(labels), parent)), labels
 
 
-def min_steiner_dominating_set(
-    t: AdjacencyTree, prune: bool = False
-) -> tuple[int, tuple[int, ...]]:
+def min_steiner_dominating_set(t: AdjacencyTree) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum Steiner dominating set of a tree.
 
-    The unpruned mode tests every subset at once, bit-sliced, against both
-    definitions; it assumes nothing, so the claim below stays testable.
-    With ``prune=True`` only supersets of the leaf set are enumerated
-    (every Steiner set of a tree contains its end-vertices), each pruned
-    to its span, buying a larger cap.  Both modes return the first optimum
-    in increasing size, then lexicographic order.
+    Up to STEINER_DOMINATING_CAP vertices every subset is tested at once,
+    bit-sliced, against both definitions; this assumes nothing, so the
+    claim _leaf_superset_search relies on stays testable.  Beyond it, up
+    to STEINER_DOMINATING_PRUNED_CAP, _leaf_superset_search answers.  Both
+    return the first optimum in increasing size, then lexicographic order.
     """
     validate(t)
     n = t.n
-    cap = STEINER_DOMINATING_PRUNED_CAP if prune else STEINER_DOMINATING_CAP
-    if n > cap:
+    if n > STEINER_DOMINATING_PRUNED_CAP:
         raise CapExceededError(
-            f"n={n} exceeds Steiner-dominating cap {cap} (prune={prune})"
+            f"n={n} exceeds Steiner-dominating cap {STEINER_DOMINATING_PRUNED_CAP}"
         )
-    if prune:
-        masks = _closed_masks(t)
-        full = (1 << n) - 1
-        base = leaf_set(t)
-        base_cover = 0
-        for v in base:
-            base_cover |= masks[v - 1]
-        others = [v for v in range(1, n + 1) if v not in base]
-        # merged witnesses inherit (size, lex) order from the extras
-        for extra_k in range(len(others) + 1):
-            for combo in combinations(others, extra_k):
-                cover = base_cover
-                for v in combo:
-                    cover |= masks[v - 1]
-                if cover == full:
-                    w = tuple(sorted(base + combo))
-                    if _prune_to_span(t, w)[1] == n:
-                        return len(w), w
-        raise AssertionError("the full vertex set is Steiner and dominating")
+    if n > STEINER_DOMINATING_CAP:
+        return _leaf_superset_search(t)
     has, sizes = _subset_planes(n)
     valid = _spanning_subsets(t, has) & _dominating_subsets(t, has)
     return _first_optimum(n, valid, sizes)
+
+
+def _leaf_superset_search(t: AdjacencyTree) -> tuple[int, tuple[int, ...]]:
+    """Minimum Steiner dominating set by enumerating supersets of the leaf
+    set (every Steiner set of a tree contains its end-vertices), each
+    pruned to its span.  Checks nothing: t must be a single tree."""
+    n = t.n
+    masks = _closed_masks(t)
+    full = (1 << n) - 1
+    base = leaf_set(t)
+    base_cover = 0
+    for v in base:
+        base_cover |= masks[v - 1]
+    others = [v for v in range(1, n + 1) if v not in base]
+    # merged witnesses inherit (size, lex) order from the extras
+    for extra_k in range(len(others) + 1):
+        for combo in combinations(others, extra_k):
+            cover = base_cover
+            for v in combo:
+                cover |= masks[v - 1]
+            if cover == full:
+                w = tuple(sorted(base + combo))
+                if _prune_to_span(t, w)[1] == n:
+                    return len(w), w
+    raise AssertionError("the full vertex set is Steiner and dominating")
 
 
 def steiner_number(t: AdjacencyTree) -> int:

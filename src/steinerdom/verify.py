@@ -32,7 +32,6 @@ from .corpus import ENUMERATION_MAX_N, FIXTURES, GeneratorSpec, enumerate_parent
 from .forest_domination import forest_domination
 from .oracles import (
     DOMINATING_CAP,
-    STEINER_DOMINATING_CAP,
     STEINER_DOMINATING_PRUNED_CAP,
     domination_number_dp,
     induced_forest,
@@ -43,7 +42,6 @@ from .oracles import (
 )
 from .steiner_domination import steiner_domination
 from .tree_model import (
-    AdjacencyTree,
     ParentArray,
     Record,
     ValidationError,
@@ -146,11 +144,12 @@ def revalidate_certificate(
             f"recomputed construction size {recomputed} != recorded {algorithm_size}"
         )
     cert = DiscrepancyCertificate(parents, algorithm_size, oracle_size, witness)
-    exact = _exact_steiner(build_adjacency(parents))
-    if exact is not None and exact[0] != oracle_size:
-        raise ValidationError(
-            f"recorded oracle size {oracle_size} but enumeration finds {exact[0]}"
-        )
+    if parents.n <= STEINER_DOMINATING_PRUNED_CAP:
+        exact = min_steiner_dominating_set(build_adjacency(parents))[0]
+        if exact != oracle_size:
+            raise ValidationError(
+                f"recorded oracle size {oracle_size} but enumeration finds {exact}"
+            )
     return cert
 
 
@@ -163,16 +162,6 @@ def _sidecar_field(data: object, key: str, kind: type) -> int | tuple[int, ...]:
         noun = "a list of integers" if kind is list else "an integer"
         raise ValidationError(f"sidecar field {key!r} must be {noun}, got {value!r}")
     return tuple(value) if kind is list else value
-
-
-def _exact_steiner(t: AdjacencyTree) -> tuple[int, tuple[int, ...]] | None:
-    """The enumeration oracle's (size, witness): unpruned within its cap,
-    pruned within the larger one, None beyond both."""
-    if t.n <= STEINER_DOMINATING_CAP:
-        return min_steiner_dominating_set(t)
-    if t.n <= STEINER_DOMINATING_PRUNED_CAP:
-        return min_steiner_dominating_set(t, prune=True)
-    return None
 
 
 class InstanceAudit(Record):
@@ -224,9 +213,8 @@ def audit_instance(parents: ParentArray) -> InstanceAudit:
     oracle_size: int | None = None
     certificate: DiscrepancyCertificate | None = None
     internal_error: str | None = None
-    exact = _exact_steiner(t)
-    if exact is not None:
-        oracle_size, witness = exact
+    if t.n <= STEINER_DOMINATING_PRUNED_CAP:
+        oracle_size, witness = min_steiner_dominating_set(t)
         if oracle_size < size:
             certificate = DiscrepancyCertificate(parents, size, oracle_size, witness)
         elif oracle_size > size:
@@ -307,7 +295,7 @@ def run_verify(
 
     exhaustive mode walks every tree parent array with 2 <= n <= max_n
     (max_n <= 10); random mode draws ``count`` uniform random trees with n
-    in [2, max_n], max_n within the pruned oracle cap.  Certificates are
+    in [2, max_n], max_n <= 24, the Steiner oracle's cap.  Certificates are
     written under cert_dir when given; the report JSON is written to
     report_path when given.  The returned report always carries the
     certificates in memory.

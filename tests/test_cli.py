@@ -21,7 +21,7 @@ from steinerdom import (
     linearity_gate,
     relabel_bfs,
 )
-from steinerdom import cli
+from steinerdom import cli, verify
 from steinerdom.bench import BenchRecord
 from steinerdom.cli import main
 
@@ -171,6 +171,14 @@ class TestSolve:
         monkeypatch.setattr(cli, "_read_edge_tree", lambda text: None)
         assert run_cli(["solve", str(path), "--json"]) == 0
         assert capsys.readouterr().out == out
+
+    def test_extra_par_line_is_named(self, tmp_path, capsys):
+        path = tmp_path / "extra.par"
+        path.write_text("2\n0 1\n5\n")
+        assert run_cli(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "steinerdom solve: error: line 3: unexpected extra line\n"
+        )
 
     def test_many_roots_give_a_short_error(self, tmp_path, capsys):
         path = tmp_path / "forest.par"
@@ -628,19 +636,36 @@ class TestVerify:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_internal_error_goes_to_stderr(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            verify, "audit_instance",
+            lambda parents: verify.InstanceAudit(
+                2, 2, True, True, None, f"oracle disagrees on n={parents.n}"
+            ),
+        )
+        code = run_cli(["verify", "--mode", "exhaustive", "--max-n", "2",
+                        "--cert-dir", str(tmp_path / "c")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "internal error: oracle disagrees on n=2",
+            "internal error: oracle disagrees on n=8",
+        ]
+        assert "validity failures: 0" in captured.out
+
     def test_bad_mode_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli(["verify", "--mode", "sweep"]) == 1
         capsys.readouterr()
 
     def test_cap_exceeded_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
         def over_cap(**kwargs):
-            raise CapExceededError("n=30 exceeds Steiner-dominating cap 24 (prune=True)")
+            raise CapExceededError("n=30 exceeds Steiner-dominating cap 24")
 
         monkeypatch.setattr("steinerdom.cli.run_verify", over_cap)
         code = run_cli(["verify", "--cert-dir", str(tmp_path / "c")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            "steinerdom verify: error: n=30 exceeds Steiner-dominating cap 24 (prune=True)"
+            "steinerdom verify: error: n=30 exceeds Steiner-dominating cap 24"
         ]
 
 

@@ -74,6 +74,26 @@ class TestGen:
         with pytest.raises(ValidationError):
             gen(GeneratorSpec("caterpillar", spine=2, pattern=(-1,)))
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (GeneratorSpec("spider", legs=3), "spider requires legs and leg_length"),
+            (GeneratorSpec("spider", leg_length=2), "spider requires legs and leg_length"),
+            (GeneratorSpec("spider", legs=3, leg_length=0),
+             "spider requires leg_length >= 1, got 0"),
+            (GeneratorSpec("caterpillar", pattern=(1,)), "caterpillar requires spine"),
+            (GeneratorSpec("caterpillar", spine=0), "caterpillar requires spine >= 1, got 0"),
+            (GeneratorSpec("caterpillar", n=9, spine=4, pattern=(2, 0)),
+             "caterpillar with spine=4 pattern=(2, 0) has 8 vertices, not 9"),
+        ],
+        ids=["spider-no-leg-length", "spider-no-legs", "spider-leg-length-0",
+             "caterpillar-no-spine", "caterpillar-spine-0", "caterpillar-n-disagrees"],
+    )
+    def test_shape_parameter_errors_are_named(self, spec, message):
+        with pytest.raises(ValidationError) as info:
+            gen(spec)
+        assert str(info.value) == message
+
     def test_missing_n(self):
         with pytest.raises(ValidationError):
             gen(GeneratorSpec("path"))

@@ -31,6 +31,7 @@ from steinerdom import (
 from steinerdom.oracles import (
     DOMINATING_CAP,
     _closed_masks,
+    _leaf_superset_search,
     _prune_to_span,
     _subset_planes,
 )
@@ -139,7 +140,10 @@ class TestIsSteinerSet:
         pytest.param(lambda t: is_steiner_set(t, (1, 2)), id="is_steiner_set"),
         pytest.param(min_steiner_dominating_set, id="min_steiner_dominating_set"),
         pytest.param(
-            lambda t: min_steiner_dominating_set(t, prune=True),
+            # the forest grown to 19 vertices, past the bit-sliced cap
+            lambda f: min_steiner_dominating_set(
+                adjacency(*f.parent, *range(f.n, 19))
+            ),
             id="min_steiner_dominating_set_pruned",
         ),
         pytest.param(steiner_number, id="steiner_number"),
@@ -259,18 +263,18 @@ class TestMinSteinerDominatingSet:
     def test_double_spider(self):
         t = adjacency(0, 1, 1, 1, 3, 4, 5, 6)
         assert min_steiner_dominating_set(t) == (4, (1, 2, 7, 8))
-        assert min_steiner_dominating_set(t, prune=True) == (4, (1, 2, 7, 8))
+        assert _leaf_superset_search(t) == (4, (1, 2, 7, 8))
 
     def test_p2(self):
         assert min_steiner_dominating_set(adjacency(0, 1)) == (2, (1, 2))
 
     def test_caps_by_mode(self):
-        t19 = build_adjacency(path_array(19))
-        with pytest.raises(CapExceededError):
-            min_steiner_dominating_set(t19)
-        assert min_steiner_dominating_set(t19, prune=True)[0] == 7
-        with pytest.raises(CapExceededError):
-            min_steiner_dominating_set(build_adjacency(path_array(25)), prune=True)
+        # bit-sliced through n = 18, leaf supersets through n = 24
+        assert min_steiner_dominating_set(build_adjacency(path_array(19)))[0] == 7
+        with pytest.raises(
+            CapExceededError, match=r"^n=25 exceeds Steiner-dominating cap 24$"
+        ):
+            min_steiner_dominating_set(build_adjacency(path_array(25)))
 
     @given(tree_arrays(min_n=2, max_n=10))
     def test_witness_passes_both_definitions(self, pa):
@@ -284,23 +288,19 @@ class TestMinSteinerDominatingSet:
     @given(tree_arrays(min_n=2, max_n=16))
     def test_pruned_agrees_with_unpruned(self, pa):
         t = build_adjacency(pa)
-        assert min_steiner_dominating_set(t) == min_steiner_dominating_set(
-            t, prune=True
-        )
+        assert min_steiner_dominating_set(t) == _leaf_superset_search(t)
 
     def test_pruned_agrees_with_unpruned_on_every_tree_to_8(self):
         for n in range(1, 9):
             for pa in enumerate_parent_arrays(n, "trees"):
                 t = build_adjacency(pa)
-                assert min_steiner_dominating_set(t) == min_steiner_dominating_set(
-                    t, prune=True
-                ), pa
+                assert min_steiner_dominating_set(t) == _leaf_superset_search(t), pa
 
     @pytest.mark.parametrize("family", ["path", "binary", "prufer"])
     def test_pruned_agrees_with_unpruned_at_the_cap(self, family):
         t = build_adjacency(gen(GeneratorSpec(family, n=18, seed=1)))
         size, witness = min_steiner_dominating_set(t)
-        assert (size, witness) == min_steiner_dominating_set(t, prune=True)
+        assert (size, witness) == _leaf_superset_search(t)
         assert is_steiner_set(t, witness) and is_dominating_set(t, witness)
 
 

@@ -128,6 +128,16 @@ class TestParseParentFile:
         with pytest.raises(ParseError, match="line 2"):
             parse_parent_file("3\n0 1 9\n")
 
+    def test_extra_line_is_named(self):
+        with pytest.raises(ParseError, match=r"^line 3: unexpected extra line$"):
+            parse_parent_file("2\n0 1\n5\n")
+
+    def test_empty_forest_cannot_be_formatted(self):
+        with pytest.raises(
+            ValidationError, match=r"^cannot format an empty forest as a \.par file$"
+        ):
+            format_parent_file(ParentArray(0, ()))
+
     @given(tree_arrays(min_n=1, max_n=30))
     def test_format_parse_inverse(self, pa):
         assert parse_parent_file(format_parent_file(pa)) == pa

@@ -17,7 +17,7 @@ from steinerdom import (
     run_verify,
     write_certificate,
 )
-from steinerdom import verify
+from steinerdom import oracles, verify
 from steinerdom.steiner_domination import CoreForest
 
 P5 = ParentArray(5, (0, 1, 1, 3, 4))
@@ -78,19 +78,25 @@ class TestAuditInstance:
 
     @pytest.mark.parametrize(
         "n, routes",
-        [(18, [False]), (19, [True]), (24, [True]), (25, [])],
+        [(18, ["oracle"]), (19, ["oracle", "leaf supersets"]),
+         (24, ["oracle", "leaf supersets"]), (25, [])],
         ids=["unpruned-18", "pruned-19", "pruned-24", "none-25"],
     )
     def test_steiner_oracle_route_at_the_caps(self, monkeypatch, n, routes):
-        # unpruned through n = 18, pruned through n = 24, none beyond
+        # the audit asks the oracle through n = 24, which searches leaf
+        # supersets beyond n = 18; none is asked beyond n = 24
         seen = []
-        oracle = verify.min_steiner_dominating_set
 
-        def spy(t, prune=False):
-            seen.append(prune)
-            return oracle(t, prune)
+        def spy(name, function):
+            def call(t):
+                seen.append(name)
+                return function(t)
+            return call
 
-        monkeypatch.setattr(verify, "min_steiner_dominating_set", spy)
+        monkeypatch.setattr(verify, "min_steiner_dominating_set",
+                            spy("oracle", verify.min_steiner_dominating_set))
+        monkeypatch.setattr(oracles, "_leaf_superset_search",
+                            spy("leaf supersets", oracles._leaf_superset_search))
         audit = audit_instance(ParentArray(n, (0, *[1] * (n - 1))))
         assert seen == routes
         assert audit.oracle_size == (n - 1 if routes else None)
@@ -158,6 +164,28 @@ class TestRunVerifyExhaustive:
         a = run_verify("exhaustive", 6)
         b = run_verify("exhaustive", 6)
         assert a.to_json_text() == b.to_json_text()
+
+
+    def test_failed_audits_exit_1(self, monkeypatch):
+        # the three trees with n <= 3 fail one layer each; the fixture's
+        # certificate does not lower the exit code to 2
+        failed = iter([
+            verify.InstanceAudit(2, 2, False, True, None, None),
+            verify.InstanceAudit(2, 2, True, False, None, None),
+            verify.InstanceAudit(2, 2, True, True, None, "oracle disagrees"),
+        ])
+        real = verify.audit_instance
+        monkeypatch.setattr(
+            verify, "audit_instance",
+            lambda parents: next(failed, None) or real(parents),
+        )
+        report = run_verify("exhaustive", 3)
+        assert report.instances == 3
+        assert report.validity_failures == 1
+        assert report.optimality_failures == 1
+        assert report.internal_errors == ("oracle disagrees",)
+        assert report.certificate_files == (AUDIT_FIXTURE,)
+        assert report.exit_code == 1
 
 
 class TestRunVerifyRandom:
