@@ -62,6 +62,23 @@ EXIT_1 = {
 }
 
 
+def untidy(text: str, rng: random.Random) -> bytes:
+    """text's tokens on the same non-blank lines, out of the canonical form
+    that the lexer reads with the json scanner: separated by tabs, single
+    or doubled spaces, with a leading zero on the first token after the
+    count and a blank line of spaces before about one line in twenty."""
+    out = []
+    for i, line in enumerate(text.splitlines()):
+        tokens = line.split()
+        if i == 1:
+            tokens[0] = "0" + tokens[0]
+        if i and rng.random() < 0.05:
+            out.append("  ")
+        out.append(tokens[0] + "".join(rng.choice(("\t", " ", "  ")) + tok
+                                       for tok in tokens[1:]))
+    return ("\n".join(out) + "\n").encode()
+
+
 def inputs() -> dict[str, bytes]:
     """The input files, by name: valid trees and forests, then EXIT_1."""
     rng = random.Random(14)
@@ -83,10 +100,14 @@ def inputs() -> dict[str, bytes]:
     spine = (1 << 15) + 1
     caterpillar = [*range(spine), *(v for v in range(1, spine + 1) for _ in range(2))]
     huge = 120_000
+    tree_par = f"{n}\n{' '.join(map(str, parent))}\n"
+    tree_edg = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
     return {
         "fixture.par": fixture.read_bytes(),
-        "tree.par": f"{n}\n{' '.join(map(str, parent))}\n".encode(),
-        "tree.edg": (f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)).encode(),
+        "tree.par": tree_par.encode(),
+        "tree.edg": tree_edg.encode(),
+        "tree-untidy.par": untidy(tree_par, rng),
+        "tree-untidy.edg": untidy(tree_edg, rng),
         "forest.par": b"9\n0 1 0 3 3 0 6 7 0\n",
         # rooted at an end, so the root is a leaf
         "path.par": f"{big}\n{' '.join(map(str, range(big)))}\n".encode(),
@@ -103,8 +124,9 @@ def inputs() -> dict[str, bytes]:
     }
 
 
-SOLVE_INPUTS = ("fixture.par", "tree.par", "tree.edg", "path.par", "star.edg",
-                "star.par", "caterpillar.par", "path-120k.par", "star-120k.par")
+SOLVE_INPUTS = ("fixture.par", "tree.par", "tree.edg", "tree-untidy.par",
+                "tree-untidy.edg", "path.par", "star.edg", "star.par", "caterpillar.par",
+                "path-120k.par", "star-120k.par")
 
 
 def calls() -> list[tuple[list[str], str | None]]:

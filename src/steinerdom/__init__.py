@@ -4,13 +4,6 @@ for the size formula leaf_count + core domination number."""
 
 from importlib import import_module
 
-from .corpus import (
-    FIXTURES,
-    GeneratorSpec,
-    enumerate_parent_arrays,
-    gen,
-    random_prufer_edges,
-)
 from .forest_domination import LabelState, forest_domination
 from .steiner_domination import steiner_domination
 from .tree_model import (
@@ -30,11 +23,13 @@ from .tree_model import (
     validate,
 )
 
-# The benchmark and the audit, with the oracles, load on first use of one
-# of their names (PEP 562), so that importing the package for the solver
-# does not also import statistics, tracemalloc and the oracles.
+# The generators, the benchmark and the audit, with the oracles, load on
+# first use of one of their names (PEP 562), so that importing the package
+# for the solver does not also import random, statistics, tracemalloc and
+# the oracles.
 _LAZY = {
     "bench": "DEFAULT_SIZES consecutive_ratios linearity_gate run_bench write_csv",
+    "corpus": "FIXTURES GeneratorSpec enumerate_parent_arrays gen random_prufer_edges",
     "oracles": (
         "CapExceededError domination_number_dp induced_forest is_dominating_set "
         "is_steiner_set min_dominating_set min_steiner_dominating_set "

@@ -14,10 +14,10 @@ from itertools import compress, repeat
 from operator import setitem
 from pathlib import Path
 
-from .corpus import FAMILIES, GeneratorSpec, gen
 from .forest_domination import forest_domination
 from .steiner_domination import steiner_domination
 from .tree_model import (
+    FAMILIES,
     ParseError,
     TreeModelError,
     ValidationError,
@@ -240,7 +240,9 @@ def _cmd_gen(args) -> int:
             raise TreeModelError(
                 f"pattern must be comma-separated integers, got {args.pattern!r}"
             )
-    spec = GeneratorSpec(
+    # looked up through the module, as run_verify is in _cmd_verify
+    module = sys.modules[__name__]
+    spec = module.GeneratorSpec(
         family=args.family,
         n=args.n,
         seed=args.seed,
@@ -249,7 +251,7 @@ def _cmd_gen(args) -> int:
         spine=args.spine,
         pattern=pattern,
     )
-    text = format_parent_file(gen(spec))
+    text = format_parent_file(module.gen(spec))
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -316,11 +318,16 @@ def _cmd_bench(args) -> int:
 
 
 def __getattr__(name: str):
-    # cli.run_verify loads verify, and the oracles behind it, on first use
+    # cli.run_verify loads verify, and the oracles behind it, on first use,
+    # and cli.gen and cli.GeneratorSpec load corpus, and random with it
     if name == "run_verify":
         from .verify import run_verify
 
         return run_verify
+    if name in ("gen", "GeneratorSpec"):
+        from . import corpus
+
+        return getattr(corpus, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -16,18 +16,8 @@ import sys
 from collections.abc import Iterator
 from itertools import product
 
-from .tree_model import (EdgeList, ParentArray, Record, ValidationError, _relabel_rows,
-                         relabel_bfs)
-
-FAMILIES = (
-    "path",
-    "star",
-    "spider",
-    "caterpillar",
-    "binary",
-    "prufer",
-    "random_parent",
-)
+from .tree_model import (FAMILIES, EdgeList, ParentArray, Record, ValidationError,
+                         _relabel_rows, relabel_bfs)
 
 ENUMERATION_MAX_N = 10
 

@@ -13,8 +13,22 @@ from __future__ import annotations
 import os
 import re
 import sys
+from collections.abc import Sequence
 from itertools import chain, compress, count, repeat
 from operator import not_
+
+
+# The families of `steinerdom gen`: here, not in corpus, so that the
+# command-line parser can list them without loading the generators.
+FAMILIES = (
+    "path",
+    "star",
+    "spider",
+    "caterpillar",
+    "binary",
+    "prufer",
+    "random_parent",
+)
 
 
 class TreeModelError(ValueError):
@@ -191,6 +205,11 @@ def read_ascii_file(path: str | os.PathLike) -> str:
 # After CRLF -> LF, a file may hold only ASCII digits, spaces, tabs and LF.
 _GRAMMAR = b"0123456789 \t\n"
 _OUTSIDE_GRAMMAR = re.compile(r"[^0-9 \t\n]")
+# Canonical text, as format_parent_file writes it, separates its tokens by
+# single spaces and LFs only; mapped to commas, they make JSON arrays.
+_CANONICAL = b"0123456789 \n"
+_DIGITS = b"0123456789"
+_TO_COMMAS = bytes.maketrans(b" \n", b",,")
 # Bytes of text whose tokens exist as bytes objects at one time; a chunk
 # runs on to the next space, so no token is cut.  Chunks of 2^14 to 2^18
 # bytes lex a 2.5e5-vertex .par equally fast; the whole text at once holds
@@ -211,17 +230,78 @@ def _token_chunks(data: bytes):
         start = end
 
 
-def _lex(text: str) -> tuple[int, list[str], list[int], tuple[int, ...]]:
+def _lex(text: str) -> tuple[int, Sequence[int], tuple[int, ...], bytes | list[str]]:
     """The file-format rules that .par and .edg share.
+
+    Returns the vertex count n >= 1, the line number of every non-blank
+    line (the count's line first), every token after the count as an int,
+    in file order, and the text's layout, from which _edge_lines_error
+    reads each line's token count: a canonical text's ASCII bytes, any
+    other text's lines.  _lex_canonical reads canonical text, as gen and
+    format_parent_file write it; _lex_lines reads any other text and
+    raises every error.
+    """
+    return _lex_canonical(text) or _lex_lines(text)
+
+
+def _lex_canonical(text: str) -> tuple[int, range, tuple[int, ...], bytes] | None:
+    """_lex's result for text in canonical form, or None for other text.
+
+    Canonical text holds only digits, spaces and LF; its count line is a
+    bare digit run, and every separator up to the last token is one space
+    or one LF, so it has no blank line before that token.  With its spaces
+    and LFs mapped to commas, each chunk of about _TOKEN_CHUNK bytes is a
+    JSON array of ints, which the json module's C scanner reads about
+    twice as fast as one int() per token.  The scanner itself rejects a
+    doubled, leading or trailing comma, a token with a leading zero and
+    one longer than Python's digit limit; any text it rejects, or whose
+    count is below 1, goes to _lex_lines.  No line is split: the lines up
+    to the last token are its LFs plus one.
+    """
+    data = text.encode("ascii", "replace")
+    if data.translate(None, _CANONICAL):
+        return None  # a tab, a CR or a character outside the grammar
+    last = len(data.rstrip())  # the end of the last token
+    head = data.find(b"\n", 0, last)
+    if not data[:last if head < 0 else head].isdigit():
+        return None
+    # loaded by the first canonical text read, never by gen or bench
+    import json
+
+    decode = json.JSONDecoder().decode
+    tokens = chain.from_iterable(map(decode, _json_chunks(data, last)))
+    try:
+        n = next(tokens)
+        rest = tuple(tokens)
+    except ValueError:
+        return None
+    if n < 1:
+        return None
+    return n, range(1, data.count(b"\n", 0, last) + 2), rest, data
+
+
+def _json_chunks(data: bytes, last: int):
+    """data[:last] as JSON arrays of about _TOKEN_CHUNK bytes each, with
+    its spaces and LFs as commas.  A chunk ends at a space that belongs to
+    no chunk, so no token is cut and a doubled separator still shows."""
+    start = 0
+    while start < last:
+        end = data.find(b" ", start + _TOKEN_CHUNK, last)
+        if end < 0:
+            end = last
+        yield "[" + data[start:end].translate(_TO_COMMAS).decode() + "]"
+        start = end + 1
+
+
+def _lex_lines(text: str) -> tuple[int, list[int], tuple[int, ...], list[str]]:
+    """_lex for any text, and the source of every error it raises.
 
     Checks the grammar in one C pass over the text's ASCII bytes (tokens
     are [0-9]+ separated by spaces or tabs, lines end in LF or CRLF, blank
     lines are skipped) and reads the vertex count n >= 1 from the first
-    non-blank line.  Returns n, the lines, the line number of every
-    non-blank line (the count's line first), and every token after the
-    count as an int, in file order.  The bytes are split into tokens once;
-    counting the tokens of each line is left to the parser that needs it,
-    so the long data line of a .par is not split a second time.
+    non-blank line.  The bytes are split into tokens once; counting the
+    tokens of each line is left to the parser that needs it, so the long
+    data line of a .par is not split a second time.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -266,7 +346,7 @@ def _lex(text: str) -> tuple[int, list[str], list[int], tuple[int, ...]]:
         )
     if n < 1:
         raise ParseError(f"line {linenos[0]}: vertex count must be >= 1, got {n}")
-    return n, lines, linenos, rest
+    return n, linenos, rest, lines
 
 
 def parse_parent_file(text: str) -> ParentArray:
@@ -276,8 +356,8 @@ def parse_parent_file(text: str) -> ParentArray:
     line and entry count mismatches, and any parent entry that
     ParentArray rejects.
     """
-    n, lines, linenos, parent = _lex(text)
-    del lines  # as large as the text, and only .edg reads them
+    n, linenos, parent, layout = _lex(text)
+    del layout  # as large as the text, and only .edg reads it
     if len(linenos) == 1:
         raise ParseError(f"line {linenos[0]}: missing parent entries for {n} vertices")
     if len(linenos) > 2:
@@ -301,10 +381,10 @@ def parse_edge_list(text: str) -> EdgeList:
     Connectivity is not checked here; relabel_bfs rejects disconnected
     input.
     """
-    n, lines, linenos, values = _lex(text)
-    error = _edge_lines_error(n, lines, linenos)
-    # the lines are as large as the text, so they go before the edges are built
-    del lines
+    n, linenos, values, layout = _lex(text)
+    error = _edge_lines_error(n, linenos, values, layout)
+    # the layout is as large as the text, so it goes before the edges are built
+    del layout
     if error is not None:
         raise ParseError(error)
     try:
@@ -314,7 +394,9 @@ def parse_edge_list(text: str) -> EdgeList:
         raise ParseError(f"line {linenos[exc.position + 1]}: {exc}") from None
 
 
-def _edge_lines_error(n: int, lines: list[str], linenos: list[int]) -> str | None:
+def _edge_lines_error(
+    n: int, linenos: Sequence[int], values: tuple[int, ...], layout: bytes | list[str]
+) -> str | None:
     """The ParseError message for the first line of a lexed .edg text that
     breaks its line structure, n - 1 lines of two labels each after the
     vertex count; None if no line does."""
@@ -323,12 +405,20 @@ def _edge_lines_error(n: int, lines: list[str], linenos: list[int]) -> str | Non
             f"line {linenos[0]}: expected {n - 1} edge lines for {n} vertices, "
             f"found {len(linenos) - 1}"
         )
-    # token counts of the non-blank lines, aligned with linenos
-    counts = list(filter(None, map(len, map(str.split, lines))))
-    if counts.count(2) != n - 1:
-        k = next(k for k in range(1, n) if counts[k] != 2)
-        return f"line {linenos[k]}: expected an edge 'u v', found {counts[k]} labels"
-    return None
+    if isinstance(layout, bytes):
+        # canonical text: the separators between its tokens are one LF
+        # after the count, then one space and one LF per edge line
+        seps = layout.translate(None, _DIGITS)[:len(values)]
+        if seps == b"\n " * (n - 1):
+            return None
+        counts = [len(spaces) + 1 for spaces in seps.split(b"\n")]
+    else:
+        # token counts of the non-blank lines, aligned with linenos
+        counts = list(filter(None, map(len, map(str.split, layout))))
+        if counts.count(2) == n - 1:
+            return None
+    k = next(k for k in range(1, n) if counts[k] != 2)
+    return f"line {linenos[k]}: expected an edge 'u v', found {counts[k]} labels"
 
 
 def _read_edge_tree(text: str) -> ParentArray | None:
@@ -343,9 +433,9 @@ def _read_edge_tree(text: str) -> ParentArray | None:
     n - 1 edges whose BFS reaches all n vertices form a tree, so they hold
     no self-loop and no edge twice.
     """
-    n, lines, linenos, values = _lex(text)
-    error = _edge_lines_error(n, lines, linenos)
-    del lines, linenos
+    n, linenos, values, layout = _lex(text)
+    error = _edge_lines_error(n, linenos, values, layout)
+    del layout, linenos
     if error is not None:
         raise ParseError(error)
     # an out-of-range label would index past the rows, or into rows[0]
@@ -373,7 +463,7 @@ def position_line(text: str, position: int) -> int:
     edge i of a .edg file is the (i + 1)-th line after the vertex count
     (with n = 2 both rules give the second non-blank line).
     """
-    linenos = _lex(text)[2]
+    linenos = _lex(text)[1]
     return linenos[1] if len(linenos) == 2 else linenos[position + 1]
 
 

@@ -21,12 +21,12 @@ AUDIT_AND_BENCH = {"steinerdom.bench", "steinerdom.verify", "steinerdom.oracles"
 ON_NO_PATH = {"dataclasses", "inspect"}
 
 
-def _imports(argv, cwd):
+def _imports(argv, cwd, flags=()):
     """Every module a fresh ``python -m steinerdom`` process imports, read
-    from ``-X importtime``."""
+    from ``-X importtime``; ``flags`` go to the interpreter."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "steinerdom", *argv],
+        [sys.executable, *flags, "-X", "importtime", "-m", "steinerdom", *argv],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
@@ -46,8 +46,9 @@ def test_gen_and_solve_load_no_audit_or_bench_code(tmp_path):
         assert "steinerdom.steiner_domination" in loaded, argv
         assert not loaded & AUDIT_AND_BENCH, argv
         assert not loaded & ON_NO_PATH, argv
-        # solve --json writes its line piece by piece, not through json
-        assert "json" not in loaded, argv
+        # json's scanner reads solve's canonical input; gen writes its
+        # .par text by one format and loads no json
+        assert ("json" in loaded) == (argv[0] == "solve"), argv
     # the probe sees the modules a command does load
     loaded = _imports(["verify", "--mode", "exhaustive", "--max-n", "2"], tmp_path)
     assert {"steinerdom.verify", "steinerdom.oracles", "json"} <= loaded
@@ -64,9 +65,23 @@ def test_gamma_forest_and_bench_load_no_dataclasses_or_inspect(tmp_path):
         loaded = _imports(argv, tmp_path)
         assert module in loaded, argv
         assert not loaded & ON_NO_PATH, argv
-        # gamma-forest --json writes its line piece by piece and bench
-        # writes CSV
-        assert "json" not in loaded, argv
+        # json's scanner reads gamma-forest's canonical input; bench parses
+        # no text and writes CSV
+        assert ("json" in loaded) == (argv[0] == "gamma-forest"), argv
+
+
+def test_solve_and_gamma_forest_load_no_generators(tmp_path):
+    # -S: no site module, whose start-up hooks may import random themselves
+    (tmp_path / "p5.edg").write_text("5\n1 2\n2 3\n3 4\n4 5\n")
+    (tmp_path / "t.par").write_text("4\n0 1 1 3\n")
+    for argv in (["solve", "p5.edg", "--json"], ["solve", "t.par"],
+                 ["gamma-forest", "t.par", "--json"]):
+        loaded = _imports(argv, tmp_path, flags=["-S"])
+        assert "steinerdom.cli" in loaded, argv
+        assert not loaded & {"steinerdom.corpus", "random"}, argv
+    # the probe sees them where a command does load them
+    loaded = _imports(["gen", "--family", "prufer", "--n", "5"], tmp_path, flags=["-S"])
+    assert {"steinerdom.corpus", "random"} <= loaded
 
 
 @pytest.mark.parametrize(

@@ -314,6 +314,130 @@ class TestLexChunks:
         )
 
 
+LIMIT = sys.get_int_max_str_digits()
+# the grammar's alphabet in pieces: digit runs with and without leading
+# zeros, one over Python's digit limit, and single and doubled separators,
+# tabs, CRLF and blank lines
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "9", "10", "12", "05", "007", "1" * (LIMIT + 1)])
+_SEPS = st.sampled_from([" ", "\n", "  ", "\t", " \t", "\r\n", "\n\n", " \n", "\n \n"])
+
+
+@st.composite
+def _lexer_texts(draw):
+    """A count and tokens joined by separators: a third canonical, a third
+    with single separators but any token, a leading zero or one over the
+    digit limit among them, and a third with any separators at all."""
+    kind = draw(st.sampled_from(["canonical", "any tokens", "any text"]))
+    clean = st.sampled_from(["1", "2", "3", "10"])
+    tokens = clean if kind == "canonical" else clean | _TOKENS
+    seps = st.sampled_from([" ", "\n"])
+    if kind == "any text":
+        seps |= _SEPS
+    count = draw(tokens | st.sampled_from(["0", "05"]) if kind != "canonical" else clean)
+    body = draw(st.lists(st.tuples(seps, tokens), max_size=8))
+    if body and kind == "canonical":
+        body[0] = ("\n", body[0][1])  # the count alone on its line
+    lead, tail = "", draw(st.sampled_from(["", "\n", " \n", "\n\n"]))
+    if kind == "any text":
+        lead = draw(st.sampled_from(["", "\n", " ", "\t"]))
+        tail = draw(st.sampled_from([tail, "\r\n", "\t"]))
+    return lead + count + "".join(sep + tok for sep, tok in body) + tail
+
+
+def _lexed(lex, text):
+    n, linenos, tokens, _ = lex(text)
+    return n, list(linenos), tokens
+
+
+def _lexers_agree(text):
+    """Assert that _lex gives the chunked int() lexer's (n, linenos,
+    tokens) or error on text, and that each parser's result or error is
+    the same with the canonical path on and off."""
+    expected = _result(lambda: _lexed(tree_model._lex_lines, text))
+    assert _result(lambda: _lexed(tree_model._lex, text)) == expected
+    parsers = (parse_parent_file, parse_edge_list, tree_model._read_edge_tree)
+    fast = [_result(lambda: parse(text)) for parse in parsers]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_model, "_lex_canonical", lambda text: None)
+        assert [_result(lambda: parse(text)) for parse in parsers] == fast
+
+
+class TestCanonicalLexer:
+    """Canonical text goes through the json scanner, any other text
+    through the chunked int() lexer; both give the same tokens, lines and
+    errors."""
+
+    @given(text=_lexer_texts(), chunk=st.sampled_from([1, 2, 5, CHUNK]))
+    def test_agrees_with_the_int_lexer(self, text, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree_model, "_TOKEN_CHUNK", chunk)
+            _lexers_agree(text)
+
+    @given(tree=tree_arrays(min_n=1, max_n=40), rng=st.randoms(use_true_random=False),
+           chunk=st.sampled_from([1, 2, 5, CHUNK]))
+    def test_written_files_are_canonical(self, tree, rng, chunk):
+        par = format_parent_file(tree)
+        edg = shuffled_edg(tree, rng).replace("\n\n", "\n", 1)  # no blank line
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree_model, "_TOKEN_CHUNK", chunk)
+            for text in (par, edg):
+                assert tree_model._lex_canonical(text) is not None, text
+                _lexers_agree(text)
+        assert parse_parent_file(par) == tree
+        assert tree_model._read_edge_tree(edg) == relabel_bfs(parse_edge_list(edg))[0]
+
+    @pytest.mark.parametrize("text, canonical", [
+        pytest.param("1\n", True, id="n=1-edg"),
+        pytest.param("1\n0\n", True, id="n=1-par"),
+        pytest.param("2\n1 2\n", True, id="n=2-edg"),
+        pytest.param("2\n0 1", True, id="n=2-par-no-final-lf"),
+        pytest.param("3\n1 2\n2 3 \n\n \n", True, id="trailing-blank-lines"),
+        pytest.param("05\n0 1 2 3 4\n", False, id="count-05"),
+        pytest.param("3\n1 \t2\n2 3\n", False, id="space-tab"),
+        pytest.param("3\n1 2\n\n2 3\n", False, id="blank-line"),
+        pytest.param("3\r\n1 2\r\n2 3\r\n", False, id="crlf"),
+        pytest.param("0\n", False, id="count-0"),
+        pytest.param("3 1\n2 3\n", False, id="two-tokens-on-the-count-line"),
+    ])
+    def test_named_texts(self, text, canonical):
+        assert (tree_model._lex_canonical(text) is not None) == canonical
+        _lexers_agree(text)
+
+    def test_count_05_and_space_tab_parse(self):
+        assert parse_parent_file("05\n0 1 2 3 4\n").parent == (0, 1, 2, 3, 4)
+        # with spaces and LFs as commas this scans as [3, 1, 2, 2, 3]: the
+        # tab alone sends it to the int() lexer
+        assert parse_edge_list("3\n1 \t2\n2 3\n").edges == ((1, 2), (2, 3))
+
+    @pytest.mark.parametrize("text, message", [
+        ("3\n1 2 3\n2\n", "line 2: expected an edge 'u v', found 3 labels"),
+        ("4\n1 2\n2\n3 4 1\n", "line 3: expected an edge 'u v', found 1 labels"),
+    ])
+    def test_canonical_edg_line_structure_errors(self, text, message):
+        assert tree_model._lex_canonical(text) is not None
+        for parse in (parse_edge_list, tree_model._read_edge_tree):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == message
+        _lexers_agree(text)
+
+    def test_canonical_par_with_an_out_of_range_parent_names_line_2(self):
+        text = "3\n0 1 7\n"
+        assert tree_model._lex_canonical(text) is not None
+        with pytest.raises(ParseError) as info:
+            parse_parent_file(text)
+        assert str(info.value) == "line 2: parent of vertex 3 is 7 (must be in 0..2)"
+
+    def test_over_cap_integer_falls_back_and_names_its_line(self):
+        text = f"3\n1 2\n2 {'1' * (LIMIT + 1)}\n"
+        assert tree_model._lex_canonical(text) is None
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == (
+            f"line 3: an integer has more digits than Python's limit of {LIMIT}"
+        )
+
+
 class TestRelabelBfs:
     def test_p5_explicit_midpoint_root(self):
         pa, label_map = relabel_bfs(to_edge_list(path_array(5)), root=3)
