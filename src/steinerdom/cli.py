@@ -177,8 +177,8 @@ def _write_members(write, flags, sep: str, suffixes: tuple[str, ...]) -> None:
 
 
 # solve and gamma-forest write json.dumps of their payloads, and the text
-# lines, piece by piece: they print ints and int lists only, so they need
-# not load json
+# lines, piece by piece: they print ints and int lists only, so no output
+# exists whole
 def _cmd_solve(args) -> int:
     n, res = _solve_file(args.input, args.format)
     # the set is the leaves and the core's set, disjoint, so formula_value,
@@ -240,7 +240,8 @@ def _cmd_gen(args) -> int:
             raise TreeModelError(
                 f"pattern must be comma-separated integers, got {args.pattern!r}"
             )
-    # looked up through the module, as run_verify is in _cmd_verify
+    # looked up through the module, so that a wrapper set on cli.gen is
+    # seen; without one, __getattr__ below loads corpus's objects
     module = sys.modules[__name__]
     spec = module.GeneratorSpec(
         family=args.family,

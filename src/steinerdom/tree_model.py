@@ -207,15 +207,17 @@ _GRAMMAR = b"0123456789 \t\n"
 _OUTSIDE_GRAMMAR = re.compile(r"[^0-9 \t\n]")
 # Canonical text, as format_parent_file writes it, separates its tokens by
 # single spaces and LFs only; mapped to commas, they make JSON arrays.
-_CANONICAL = b"0123456789 \n"
 _DIGITS = b"0123456789"
+_CANONICAL = _DIGITS + b" \n"
 _TO_COMMAS = bytes.maketrans(b" \n", b",,")
 # Bytes of text whose tokens exist as bytes objects at one time; a chunk
 # runs on to the next space, so no token is cut.  Chunks of 2^14 to 2^18
 # bytes lex a 2.5e5-vertex .par equally fast; the whole text at once holds
 # a bytes object per token and nearly doubles the lexer's peak memory.  A
 # 2^14-byte chunk's tokens take about 0.1 MB and a 2^16-byte one 0.4 MB, a
-# difference of 15 B/vertex in the peak of a 2.5e4-vertex parse.
+# difference of 15 B/vertex in the peak of a 2.5e4-vertex parse.  The json
+# scanner reads canonical text in chunks of the same size, so that the list
+# of one chunk's ints stays small.
 _TOKEN_CHUNK = 1 << 14
 
 
@@ -251,12 +253,12 @@ def _lex_canonical(text: str) -> tuple[int, range, tuple[int, ...], bytes] | Non
     bare digit run, and every separator up to the last token is one space
     or one LF, so it has no blank line before that token.  With its spaces
     and LFs mapped to commas, each chunk of about _TOKEN_CHUNK bytes is a
-    JSON array of ints, which the json module's C scanner reads about
-    twice as fast as one int() per token.  The scanner itself rejects a
-    doubled, leading or trailing comma, a token with a leading zero and
-    one longer than Python's digit limit; any text it rejects, or whose
-    count is below 1, goes to _lex_lines.  No line is split: the lines up
-    to the last token are its LFs plus one.
+    JSON array of ints, which the json module's C scanner reads faster
+    than one int() per token.  The scanner itself rejects a doubled,
+    leading or trailing comma, a token with a leading zero and one longer
+    than Python's digit limit; any text it rejects, or whose count is
+    below 1, goes to _lex_lines.  No line is split: the lines up to the
+    last token are its LFs plus one.
     """
     data = text.encode("ascii", "replace")
     if data.translate(None, _CANONICAL):

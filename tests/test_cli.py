@@ -474,14 +474,19 @@ def _caterpillar(spine):
 class TestSolveMemory:
     """solve --json's tracemalloc peak per vertex at n = 10^5.  Measured
     57.4-58.9 B/v on the path, 50.6 on the Prufer tree, 16.9 on the star
-    and 49.6 on the caterpillar (Python 3.11); each limit is the highest
+    and 49.6 on the caterpillar (Python 3.11); each limit is that highest
     reading plus 15%.  While steiner_domination built the three lists as
-    tuples of ints they were 84.3-85.8, 74.9, 64.3 and 73.5.
+    tuples of ints they were 84.3-85.8, 74.9, 64.3 and 73.5.  With the
+    json scanner reading the .par text they measured 57.5, 49.8, 14.4 and
+    49.0, against 57.5, 50.6, 14.4 and 49.5 through int() beside them.
 
     The .edg files hold the path, the Prufer tree and the star with
     shuffled labels and lines.  Read straight into the BFS's rows they
     measured 188.0, 187.9 and 216.2 B/v; through an EdgeList and its edge
-    tuples they were 283.0, 283.6 and 291.0."""
+    tuples they were 283.0, 283.6 and 291.0.  With the text kept through
+    the BFS they measure 195.9, 195.9 and 228.1, before and after the
+    json scanner came in: the blank line after their count sends them to
+    the int() lexer."""
 
     @pytest.mark.parametrize(
         "shape, limit",
