@@ -333,7 +333,7 @@ def _lexer_texts(draw):
     seps = st.sampled_from([" ", "\n"])
     if kind == "any text":
         seps |= _SEPS
-    count = draw(tokens | st.sampled_from(["0", "05"]) if kind != "canonical" else clean)
+    count = draw(clean if kind == "canonical" else tokens | st.sampled_from(["0", "05"]))
     body = draw(st.lists(st.tuples(seps, tokens), max_size=8))
     if body and kind == "canonical":
         body[0] = ("\n", body[0][1])  # the count alone on its line
