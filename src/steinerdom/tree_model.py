@@ -270,8 +270,7 @@ def _lex_canonical(text: str) -> tuple[int, range, tuple[int, ...], bytes] | Non
     # loaded by the first canonical text read, never by gen or bench
     import json
 
-    decode = json.JSONDecoder().decode
-    tokens = chain.from_iterable(map(decode, _json_chunks(data, last)))
+    tokens = chain.from_iterable(map(json.loads, _json_chunks(data, last)))
     try:
         n = next(tokens)
         rest = tuple(tokens)
