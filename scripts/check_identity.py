@@ -102,23 +102,28 @@ def inputs() -> dict[str, bytes]:
     huge = 120_000
     tree_par = f"{n}\n{' '.join(map(str, parent))}\n"
     tree_edg = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    path_par = f"{huge}\n{' '.join(map(str, range(huge)))}\n"
+    star_edg = f"{big}\n" + "".join(f"{u} {v}\n" for u, v in star)
     return {
         "fixture.par": fixture.read_bytes(),
         "tree.par": tree_par.encode(),
         "tree.edg": tree_edg.encode(),
         "tree-untidy.par": untidy(tree_par, rng),
         "tree-untidy.edg": untidy(tree_edg, rng),
+        # over one 16 KiB chunk, so that the int() lexer cuts untidy text
+        "path-120k-untidy.par": untidy(path_par, rng),
+        "star-untidy.edg": untidy(star_edg, rng),
         "forest.par": b"9\n0 1 0 3 3 0 6 7 0\n",
         # rooted at an end, so the root is a leaf
         "path.par": f"{big}\n{' '.join(map(str, range(big)))}\n".encode(),
         "star.par": f"{big}\n0{' 1' * (big - 1)}\n".encode(),
         # lists with members on both sides of label 10^5, where a block's
         # number gains a digit
-        "path-120k.par": f"{huge}\n{' '.join(map(str, range(huge)))}\n".encode(),
+        "path-120k.par": path_par.encode(),
         "star-120k.par": f"{huge}\n0{' 1' * (huge - 1)}\n".encode(),
         "caterpillar.par": (f"{len(caterpillar)}\n{' '.join(map(str, caterpillar))}\n"
                             .encode()),
-        "star.edg": (f"{big}\n" + "".join(f"{u} {v}\n" for u, v in star)).encode(),
+        "star.edg": star_edg.encode(),
         "large-forest.par": f"{2 * big}\n{' '.join(map(str, forest))}\n".encode(),
         **EXIT_1,
     }
@@ -126,7 +131,8 @@ def inputs() -> dict[str, bytes]:
 
 SOLVE_INPUTS = ("fixture.par", "tree.par", "tree.edg", "tree-untidy.par",
                 "tree-untidy.edg", "path.par", "star.edg", "star.par", "caterpillar.par",
-                "path-120k.par", "star-120k.par")
+                "path-120k.par", "star-120k.par", "path-120k-untidy.par",
+                "star-untidy.edg")
 
 
 def calls() -> list[tuple[list[str], str | None]]:

@@ -110,12 +110,8 @@ def _solve_file(path_text: str, fmt: str):
     """
     path = Path(path_text)
     if fmt == "auto":
-        suffix = path.suffix.lower()
-        if suffix == ".par":
-            fmt = "par"
-        elif suffix == ".edg":
-            fmt = "edg"
-        else:
+        fmt = path.suffix.lower()[1:]
+        if fmt not in ("par", "edg"):
             raise TreeModelError(
                 f"cannot infer format of {path.name or path_text!r}; "
                 "pass --format par|edg"

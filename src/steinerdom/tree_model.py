@@ -215,21 +215,24 @@ _TO_COMMAS = bytes.maketrans(b" \n", b",,")
 # bytes lex a 2.5e5-vertex .par equally fast; the whole text at once holds
 # a bytes object per token and nearly doubles the lexer's peak memory.  A
 # 2^14-byte chunk's tokens take about 0.1 MB and a 2^16-byte one 0.4 MB, a
-# difference of 15 B/vertex in the peak of a 2.5e4-vertex parse.  The json
-# scanner reads canonical text in chunks of the same size, so that the list
-# of one chunk's ints stays small.
+# difference of 15 B/vertex in the peak of a 2.5e4-vertex parse.  Both
+# lexers cut their text with _chunks, so the json scanner's list of one
+# chunk's ints stays as small.
 _TOKEN_CHUNK = 1 << 14
 
 
-def _token_chunks(data: bytes):
-    """The tokens of data as ints, one map per chunk of about _TOKEN_CHUNK
-    bytes; a chunk runs on to the next space, so no token is cut."""
+def _chunks(data: bytes, stop: int):
+    """data[:stop] in slices of about _TOKEN_CHUNK bytes.  A slice runs on
+    to the next space, which belongs to no slice, so no token is cut and a
+    doubled separator still shows."""
     start = 0
-    while start < len(data):
-        # a file without spaces, such as a tab-separated one, is one chunk
-        end = data.find(b" ", start + _TOKEN_CHUNK) + 1 or len(data)
-        yield map(int, data[start:end].split())
-        start = end
+    while start < stop:
+        # a file without spaces, such as a tab-separated one, is one slice
+        end = data.find(b" ", start + _TOKEN_CHUNK, stop)
+        if end < 0:
+            end = stop
+        yield data[start:end]
+        start = end + 1
 
 
 def _lex(text: str) -> tuple[int, Sequence[int], tuple[int, ...], bytes | list[str]]:
@@ -237,9 +240,9 @@ def _lex(text: str) -> tuple[int, Sequence[int], tuple[int, ...], bytes | list[s
 
     Returns the vertex count n >= 1, the line number of every non-blank
     line (the count's line first), every token after the count as an int,
-    in file order, and the text's layout, from which _edge_lines_error
-    reads each line's token count: a canonical text's ASCII bytes, any
-    other text's lines.  _lex_canonical reads canonical text, as gen and
+    in file order, and the text's layout, from which _lex_edg reads each
+    line's token count: a canonical text's ASCII bytes, any other text's
+    lines.  _lex_canonical reads canonical text, as gen and
     format_parent_file write it; _lex_lines reads any other text and
     raises every error.
     """
@@ -270,7 +273,10 @@ def _lex_canonical(text: str) -> tuple[int, range, tuple[int, ...], bytes] | Non
     # loaded by the first canonical text read, never by gen or bench
     import json
 
-    tokens = chain.from_iterable(map(json.loads, _json_chunks(data, last)))
+    # map, not a generator expression, so that no slice outlives its array
+    arrays = map(lambda chunk: "[" + chunk.translate(_TO_COMMAS).decode() + "]",
+                 _chunks(data, last))
+    tokens = chain.from_iterable(map(json.loads, arrays))
     try:
         n = next(tokens)
         rest = tuple(tokens)
@@ -279,19 +285,6 @@ def _lex_canonical(text: str) -> tuple[int, range, tuple[int, ...], bytes] | Non
     if n < 1:
         return None
     return n, range(1, data.count(b"\n", 0, last) + 2), rest, data
-
-
-def _json_chunks(data: bytes, last: int):
-    """data[:last] as JSON arrays of about _TOKEN_CHUNK bytes each, with
-    its spaces and LFs as commas.  A chunk ends at a space that belongs to
-    no chunk, so no token is cut and a doubled separator still shows."""
-    start = 0
-    while start < last:
-        end = data.find(b" ", start + _TOKEN_CHUNK, last)
-        if end < 0:
-            end = last
-        yield "[" + data[start:end].translate(_TO_COMMAS).decode() + "]"
-        start = end + 1
 
 
 def _lex_lines(text: str) -> tuple[int, list[int], tuple[int, ...], list[str]]:
@@ -314,10 +307,11 @@ def _lex_lines(text: str) -> tuple[int, list[int], tuple[int, ...], list[str]]:
         raise ParseError(
             f"line {lineno}: character {bad.group()!r} is not a digit, space or tab"
         )
-    # chain flattens the chunks in C and the tuple grows in place, so no
-    # list of the tokens exists beside it; with the count split off the
-    # front, a .par file's parent entries need no second copy
-    tokens = chain.from_iterable(_token_chunks(data))
+    # chain flattens each chunk's split in C and the tuple grows in place,
+    # so no list of all the tokens exists beside it and no chunk outlives
+    # its split; with the count split off the front, a .par file's parent
+    # entries need no second copy
+    tokens = map(int, chain.from_iterable(map(bytes.split, _chunks(data, len(data)))))
     try:
         n = next(tokens, None)
         rest = tuple(tokens)
@@ -382,12 +376,7 @@ def parse_edge_list(text: str) -> EdgeList:
     Connectivity is not checked here; relabel_bfs rejects disconnected
     input.
     """
-    n, linenos, values, layout = _lex(text)
-    error = _edge_lines_error(n, linenos, values, layout)
-    # the layout is as large as the text, so it goes before the edges are built
-    del layout
-    if error is not None:
-        raise ParseError(error)
+    n, linenos, values = _lex_edg(text)
     try:
         return EdgeList(n, tuple(zip(values[0::2], values[1::2])))
     except ValidationError as exc:
@@ -395,14 +384,15 @@ def parse_edge_list(text: str) -> EdgeList:
         raise ParseError(f"line {linenos[exc.position + 1]}: {exc}") from None
 
 
-def _edge_lines_error(
-    n: int, linenos: Sequence[int], values: tuple[int, ...], layout: bytes | list[str]
-) -> str | None:
-    """The ParseError message for the first line of a lexed .edg text that
-    breaks its line structure, n - 1 lines of two labels each after the
-    vertex count; None if no line does."""
+def _lex_edg(text: str) -> tuple[int, Sequence[int], tuple[int, ...]]:
+    """_lex for an .edg text whose lines hold n - 1 edges of two labels
+    each after the vertex count: (n, linenos, values).  Raises the
+    ParseError for the first line that breaks that structure.  The layout,
+    as large as the text, is freed on return, before any edge or row is
+    built."""
+    n, linenos, values, layout = _lex(text)
     if len(linenos) != n:
-        return (
+        raise ParseError(
             f"line {linenos[0]}: expected {n - 1} edge lines for {n} vertices, "
             f"found {len(linenos) - 1}"
         )
@@ -411,15 +401,17 @@ def _edge_lines_error(
         # after the count, then one space and one LF per edge line
         seps = layout.translate(None, _DIGITS)[:len(values)]
         if seps == b"\n " * (n - 1):
-            return None
+            return n, linenos, values
         counts = [len(spaces) + 1 for spaces in seps.split(b"\n")]
     else:
         # token counts of the non-blank lines, aligned with linenos
         counts = list(filter(None, map(len, map(str.split, layout))))
         if counts.count(2) == n - 1:
-            return None
+            return n, linenos, values
     k = next(k for k in range(1, n) if counts[k] != 2)
-    return f"line {linenos[k]}: expected an edge 'u v', found {counts[k]} labels"
+    raise ParseError(
+        f"line {linenos[k]}: expected an edge 'u v', found {counts[k]} labels"
+    )
 
 
 def _read_edge_tree(text: str) -> ParentArray | None:
@@ -427,26 +419,20 @@ def _read_edge_tree(text: str) -> ParentArray | None:
     holds a tree, built with no EdgeList and no edge tuples: the tokens
     fill relabel_bfs's adjacency rows directly.
 
-    _lex's errors and parse_edge_list's line-structure error are raised as
-    that parser raises them.  Returns None for a text with the .edg line
+    _lex_edg raises the lexer's and the line structure's errors, as it
+    does for parse_edge_list.  Returns None for a text with the .edg line
     structure but no tree, a label outside 1..n or a BFS that misses a
     vertex, so that the caller can run the checking path for its message.
     n - 1 edges whose BFS reaches all n vertices form a tree, so they hold
     no self-loop and no edge twice.
     """
-    n, linenos, values, layout = _lex(text)
-    error = _edge_lines_error(n, linenos, values, layout)
-    del layout, linenos
-    if error is not None:
-        raise ParseError(error)
+    n, linenos, values = _lex_edg(text)
+    del linenos  # an int per line, not needed past the line check
     # an out-of-range label would index past the rows, or into rows[0]
     if values and not (min(values) >= 1 and max(values) <= n):
         return None
-    rows: list[list[int]] = [[] for _ in range(n + 1)]
     ends = iter(values)
-    for u, v in zip(ends, ends):
-        rows[u].append(v)
-        rows[v].append(u)
+    rows = _edge_rows(n, zip(ends, ends))
     del values, ends
     try:
         return _relabel_rows(n, rows)[0]
@@ -504,16 +490,22 @@ def relabel_bfs(
         )
     if root is not None and not 1 <= root <= n:
         raise ValidationError(f"root {root} out of range 1..{n}")
-    rows: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges.edges:
-        rows[u].append(v)
-        rows[v].append(u)
     try:
-        return _relabel_rows(n, rows, root)
+        return _relabel_rows(n, _edge_rows(n, edges.edges), root)
     except ValidationError as exc:
         pos = _first_cycle_edge(n, edges.edges)
         u, v = edges.edges[pos]
         raise ValidationError(f"{exc}; edge ({u}, {v}) closes a cycle", pos) from None
+
+
+def _edge_rows(n: int, edges) -> list[list[int]]:
+    """Adjacency rows of the edges (u, v) on labels 1..n: ``rows[v]`` holds
+    v's neighbours in edge order, and ``rows[0]`` is empty."""
+    rows: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
 
 
 def _relabel_rows(
