@@ -150,6 +150,13 @@ def calls() -> list[tuple[list[str], str | None]]:
     # trees with 19 <= n <= 24 reach the Steiner oracle's leaf-superset search
     out.append(["verify", "--mode", "random", "--max-n", "24", "--count", "200",
                 "--seed", "1", "--report", "report.json"])
+    # usage errors: one past the Steiner oracle's cap, and a --n that gen
+    # checks against the size a spider's or caterpillar's shape derives
+    out.append(["verify", "--mode", "random", "--max-n", "25", "--count", "5"])
+    out += [["gen", "--family", "spider", "--legs", "4", "--leglen", "5", "--n", n]
+            for n in ("21", "22")]
+    out.append(["gen", "--family", "caterpillar", "--spine", "40", "--pattern", "2,0,1",
+                "--n", "7"])
     out += [["solve", name] for name in EXIT_1]
     out = [(argv, None) for argv in out]
     out += [(["solve", "/dev/stdin", "--format", name.rpartition(".")[2]], name)

@@ -192,13 +192,8 @@ def gen(spec: GeneratorSpec) -> ParentArray:
                 f"spider requires leg_length >= 1, got {spec.leg_length}"
             )
         edges = _spider_edges(spec.legs, spec.leg_length)
-        if spec.n is not None and spec.n != edges.n:
-            raise ValidationError(
-                f"spider with legs={spec.legs} leg_length={spec.leg_length} "
-                f"has {edges.n} vertices, not {spec.n}"
-            )
-        return relabel_bfs(edges)[0]
-    if family == "caterpillar":
+        shape = f"spider with legs={spec.legs} leg_length={spec.leg_length}"
+    elif family == "caterpillar":
         if spec.spine is None:
             raise ValidationError("caterpillar requires spine")
         if spec.spine < 1:
@@ -207,13 +202,12 @@ def gen(spec: GeneratorSpec) -> ParentArray:
         if not pattern or any(c < 0 for c in pattern):
             raise ValidationError("caterpillar pattern must be non-negative counts")
         edges = _caterpillar_edges(spec.spine, pattern)
-        if spec.n is not None and spec.n != edges.n:
-            raise ValidationError(
-                f"caterpillar with spine={spec.spine} pattern={pattern} "
-                f"has {edges.n} vertices, not {spec.n}"
-            )
-        return relabel_bfs(edges)[0]
-    raise AssertionError(f"unhandled family {family!r}")
+        shape = f"caterpillar with spine={spec.spine} pattern={pattern}"
+    else:
+        raise AssertionError(f"unhandled family {family!r}")
+    if spec.n is not None and spec.n != edges.n:
+        raise ValidationError(f"{shape} has {edges.n} vertices, not {spec.n}")
+    return relabel_bfs(edges)[0]
 
 
 def enumerate_parent_arrays(n: int, mode: str = "trees") -> Iterator[ParentArray]:

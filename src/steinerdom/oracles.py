@@ -51,10 +51,10 @@ class CapExceededError(TreeModelError):
     """Instance larger than the enumeration cap for the requested oracle."""
 
 
-# the largest n each exact oracle accepts
+# the largest n each exact oracle accepts; min_steiner_dominating_set
+# searches leaf supersets, not every subset, above STEINER_NUMBER_CAP
 DOMINATING_CAP = 20
-STEINER_DOMINATING_CAP = 18
-STEINER_DOMINATING_PRUNED_CAP = 24
+STEINER_DOMINATING_CAP = 24
 STEINER_NUMBER_CAP = 18
 
 
@@ -295,19 +295,19 @@ def induced_forest(
 def min_steiner_dominating_set(t: AdjacencyTree) -> tuple[int, tuple[int, ...]]:
     """Exhaustive minimum Steiner dominating set of a tree.
 
-    Up to STEINER_DOMINATING_CAP vertices every subset is tested at once,
+    Up to STEINER_NUMBER_CAP vertices every subset is tested at once,
     bit-sliced, against both definitions; this assumes nothing, so the
     claim _leaf_superset_search relies on stays testable.  Beyond it, up
-    to STEINER_DOMINATING_PRUNED_CAP, _leaf_superset_search answers.  Both
+    to STEINER_DOMINATING_CAP, _leaf_superset_search answers.  Both
     return the first optimum in increasing size, then lexicographic order.
     """
     validate(t)
     n = t.n
-    if n > STEINER_DOMINATING_PRUNED_CAP:
-        raise CapExceededError(
-            f"n={n} exceeds Steiner-dominating cap {STEINER_DOMINATING_PRUNED_CAP}"
-        )
     if n > STEINER_DOMINATING_CAP:
+        raise CapExceededError(
+            f"n={n} exceeds Steiner-dominating cap {STEINER_DOMINATING_CAP}"
+        )
+    if n > STEINER_NUMBER_CAP:
         return _leaf_superset_search(t)
     has, sizes = _subset_planes(n)
     valid = _spanning_subsets(t, has) & _dominating_subsets(t, has)

@@ -5,8 +5,10 @@ For every instance the harness checks three layers:
   (a) validity: the emitted Steiner dominating set contains every leaf,
       repeats no vertex, spans the tree, and dominates it;
   (b) minimum-domination agreement: the core is the forest induced
-      outside N[leaves], and the solver's set for it and the forest pass on
-      the whole instance match the DP and, within its cap, enumeration;
+      outside N[leaves], the set is exactly the leaves plus the solver's
+      set for the core, and that set and the forest pass on the whole
+      instance each dominate their forest, at every size, with as many
+      vertices as the DP and, within its cap, enumeration find;
   (c) the headline size: construction size (= leaf count + core
       domination number) versus the exact Steiner domination number.
 
@@ -32,7 +34,7 @@ from .corpus import ENUMERATION_MAX_N, FIXTURES, GeneratorSpec, enumerate_parent
 from .forest_domination import forest_domination
 from .oracles import (
     DOMINATING_CAP,
-    STEINER_DOMINATING_PRUNED_CAP,
+    STEINER_DOMINATING_CAP,
     domination_number_dp,
     induced_forest,
     is_dominating_set,
@@ -42,6 +44,7 @@ from .oracles import (
 )
 from .steiner_domination import steiner_domination
 from .tree_model import (
+    AdjacencyTree,
     ParentArray,
     Record,
     ValidationError,
@@ -144,7 +147,7 @@ def revalidate_certificate(
             f"recomputed construction size {recomputed} != recorded {algorithm_size}"
         )
     cert = DiscrepancyCertificate(parents, algorithm_size, oracle_size, witness)
-    if parents.n <= STEINER_DOMINATING_PRUNED_CAP:
+    if parents.n <= STEINER_DOMINATING_CAP:
         exact = min_steiner_dominating_set(build_adjacency(parents))[0]
         if exact != oracle_size:
             raise ValidationError(
@@ -174,15 +177,26 @@ class InstanceAudit(Record):
     )
 
 
+def _is_minimum_dominating_set(f: AdjacencyTree, s: tuple[int, ...]) -> bool:
+    """True iff s dominates the forest f with the DP's domination number
+    of vertices, and, within DOMINATING_CAP, enumeration's minimum too."""
+    return (
+        len(s) == domination_number_dp(f)
+        and is_dominating_set(f, s)
+        and (f.n > DOMINATING_CAP or len(s) == min_dominating_set(f)[0])
+    )
+
+
 def audit_instance(parents: ParentArray) -> InstanceAudit:
     """Run all three audit layers on a single tree."""
     t = build_adjacency(parents)
     res = steiner_domination(parents)
     # the result builds each tuple on every read: read each one once
     sd, size, core_set = res.steiner_dominating_set, res.size, res.core_dominating_set
+    leaves = res.leaves
 
     validity_ok = (
-        set(res.leaves) <= set(sd)
+        set(leaves) <= set(sd)
         and is_steiner_set(t, sd)
         and is_dominating_set(t, sd)
         and len(set(sd)) == len(sd) == size
@@ -194,26 +208,16 @@ def audit_instance(parents: ParentArray) -> InstanceAudit:
     core_local = tuple(h for h, v in enumerate(core_labels, start=1) if v in core_dom)
     optimality_ok = (
         res.core.to_tree == core_labels
-        and len(core_local) == len(core_set) == domination_number_dp(core)
+        and len(core_local) == len(core_set)
+        and set(sd) == core_dom.union(leaves)
+        and _is_minimum_dominating_set(core, core_local)
+        and _is_minimum_dominating_set(t, forest_domination(parents))
     )
-    if optimality_ok and core.n <= DOMINATING_CAP:
-        optimality_ok = (
-            len(core_local) == min_dominating_set(core)[0]
-            and is_dominating_set(core, core_local)
-        )
-    whole = forest_domination(parents)
-    if optimality_ok:
-        optimality_ok = (
-            len(whole) == domination_number_dp(t)
-            and is_dominating_set(t, whole)
-        )
-    if optimality_ok and parents.n <= DOMINATING_CAP:
-        optimality_ok = len(whole) == min_dominating_set(t)[0]
 
     oracle_size: int | None = None
     certificate: DiscrepancyCertificate | None = None
     internal_error: str | None = None
-    if t.n <= STEINER_DOMINATING_PRUNED_CAP:
+    if t.n <= STEINER_DOMINATING_CAP:
         oracle_size, witness = min_steiner_dominating_set(t)
         if oracle_size < size:
             certificate = DiscrepancyCertificate(parents, size, oracle_size, witness)
@@ -309,10 +313,10 @@ def run_verify(
             )
         count = 0  # exhaustive runs ignore the sample count
     else:
-        if not 2 <= max_n <= STEINER_DOMINATING_PRUNED_CAP:
+        if not 2 <= max_n <= STEINER_DOMINATING_CAP:
             raise ValidationError(
-                f"random mode needs 2 <= max_n <= {STEINER_DOMINATING_PRUNED_CAP} "
-                f"(the pruned oracle cap), got {max_n}"
+                f"random mode needs 2 <= max_n <= {STEINER_DOMINATING_CAP} "
+                f"(the Steiner oracle's cap), got {max_n}"
             )
         if count < 1:
             raise ValidationError(f"random mode needs count >= 1, got {count}")

@@ -191,9 +191,8 @@ def test_oracle_caps_are_fixed_constants():
     assert (
         oracles.DOMINATING_CAP,
         oracles.STEINER_DOMINATING_CAP,
-        oracles.STEINER_DOMINATING_PRUNED_CAP,
         oracles.STEINER_NUMBER_CAP,
-    ) == (20, 18, 24, 18)
+    ) == (20, 24, 18)
 
 
 def test_trusted_edge_list_equals_checked():

@@ -80,7 +80,7 @@ class TestAuditInstance:
         "n, routes",
         [(18, ["oracle"]), (19, ["oracle", "leaf supersets"]),
          (24, ["oracle", "leaf supersets"]), (25, [])],
-        ids=["unpruned-18", "pruned-19", "pruned-24", "none-25"],
+        ids=["bit-sliced-18", "leaf-supersets-19", "leaf-supersets-24", "none-25"],
     )
     def test_steiner_oracle_route_at_the_caps(self, monkeypatch, n, routes):
         # the audit asks the oracle through n = 24, which searches leaf
@@ -124,6 +124,23 @@ class TestAuditChecksTheCore:
         assert solver(pa).core_dominating_set == (3, 5)
         assert not audit_instance(pa).optimality_ok
 
+    def test_core_set_that_misses_a_vertex_above_the_cap_fails(self, monkeypatch):
+        # P26's core is 3..24, above DOMINATING_CAP; swapping 23 for 22
+        # keeps every size and leaves 24 undominated
+        solver = verify.steiner_domination
+        monkeypatch.setattr(
+            verify,
+            "steiner_domination",
+            lambda pa: _altered(
+                solver(pa),
+                core_dominating_set=(3, 5, 8, 11, 14, 17, 20, 22),
+                steiner_dominating_set=(1, 3, 5, 8, 11, 14, 17, 20, 22, 26),
+            ),
+        )
+        pa = ParentArray(26, tuple(range(26)))
+        assert solver(pa).core_dominating_set == (3, 5, 8, 11, 14, 17, 20, 23)
+        assert not audit_instance(pa).optimality_ok
+
 
 class TestAuditChecksTheSet:
     # P5's set is (2, 3, 5); leaf 2 returned twice fails validity, whether
@@ -138,6 +155,21 @@ class TestAuditChecksTheSet:
         )
         assert solver(P5).steiner_dominating_set == (2, 3, 5)
         assert not audit_instance(P5).validity_ok
+
+    def test_set_beyond_the_leaves_and_core_set_fails_optimality(self, monkeypatch):
+        # P8's set is the leaves 1, 8 and the core's set (3, 5); adding
+        # support vertex 2 keeps it valid but no longer the construction
+        solver = verify.steiner_domination
+        monkeypatch.setattr(
+            verify,
+            "steiner_domination",
+            lambda pa: _altered(solver(pa), steiner_dominating_set=(1, 2, 3, 5, 8), size=5),
+        )
+        pa = ParentArray(8, (0, 1, 2, 3, 4, 5, 6, 7))
+        assert solver(pa).steiner_dominating_set == (1, 3, 5, 8)
+        audit = audit_instance(pa)
+        assert audit.validity_ok
+        assert not audit.optimality_ok
 
 
 class TestRunVerifyExhaustive:
