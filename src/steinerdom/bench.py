@@ -4,9 +4,13 @@ Instances come from the uniform random tree family with a fixed seed, so
 a bench run is reproducible up to machine noise.  Timing covers only the
 algorithm call: generation and adjacency setup happen outside the timed
 region, garbage collection is paused during the timed repetitions, and
-the median over repetitions is reported to resist scheduler spikes.  Peak
-allocation is measured on one extra untimed repetition under tracemalloc,
-whose overhead would otherwise poison the timings.
+the median over repetitions is reported to resist scheduler spikes.  The
+repetitions run in rounds, each timing every (size, algorithm) once right
+after an untimed warm-up call, so load that comes and goes over seconds
+falls on every size alike instead of on whichever size ran in a busy
+stretch.  Every instance is held for the whole run.  Peak allocation is
+measured on one extra untimed run under tracemalloc, whose overhead would
+otherwise poison the timings.
 
 The per-vertex normalization makes the linearity gate scale-free: if the
 passes are linear, ns_per_vertex stays flat as n grows by decades.  The
@@ -45,29 +49,17 @@ class BenchRecord(Record):
     __slots__ = ("n", "algorithm", "ns_total_median", "ns_per_vertex", "peak_bytes")
 
 
-def _measure(algorithm: str, parents: ParentArray, reps: int) -> tuple[int, int]:
-    """(median ns, peak bytes) over reps timed runs plus one memory run."""
-    solve = forest_domination if algorithm == "forest_dom" else steiner_domination
-    solve(parents)  # warm caches and any lazy allocation before timing
-    times = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            t0 = time.perf_counter_ns()
-            solve(parents)
-            t1 = time.perf_counter_ns()
-            times.append(t1 - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+_SOLVERS = {"forest_dom": forest_domination, "steiner_dom": steiner_domination}
+
+
+def _peak_bytes(algorithm: str, parents: ParentArray) -> int:
+    """tracemalloc's high-water mark for one untimed run."""
     tracemalloc.start()
     try:
-        solve(parents)
-        peak = tracemalloc.get_traced_memory()[1]
+        _SOLVERS[algorithm](parents)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return int(statistics.median(times)), peak
 
 
 def run_bench(
@@ -82,20 +74,35 @@ def run_bench(
         raise ValidationError(f"sizes must be strictly ascending, got {list(sizes)}")
     if reps < 3:
         raise ValidationError(f"repetitions must be >= 3, got {reps}")
+    trees = {n: gen(GeneratorSpec("prufer", n=n, seed=SEED)) for n in sizes}
+    cases = [(n, algorithm, trees[n]) for n in sizes for algorithm in ALGORITHMS]
+    times: list[list[int]] = [[] for _ in cases]
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(reps):
+            for (_, algorithm, parents), case_times in zip(cases, times):
+                solve = _SOLVERS[algorithm]
+                solve(parents)  # refill the caches the previous case evicted
+                t0 = time.perf_counter_ns()
+                solve(parents)
+                t1 = time.perf_counter_ns()
+                case_times.append(t1 - t0)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     records = []
-    for n in sizes:
-        parents = gen(GeneratorSpec("prufer", n=n, seed=SEED))
-        for algorithm in ALGORITHMS:
-            median_ns, peak = _measure(algorithm, parents, reps)
-            records.append(
-                BenchRecord(
-                    n=n,
-                    algorithm=algorithm,
-                    ns_total_median=median_ns,
-                    ns_per_vertex=round(median_ns / n, 3),
-                    peak_bytes=peak,
-                )
+    for (n, algorithm, parents), case_times in zip(cases, times):
+        median_ns = int(statistics.median(case_times))
+        records.append(
+            BenchRecord(
+                n=n,
+                algorithm=algorithm,
+                ns_total_median=median_ns,
+                ns_per_vertex=round(median_ns / n, 3),
+                peak_bytes=_peak_bytes(algorithm, parents),
             )
+        )
     return tuple(records)
 
 

@@ -144,7 +144,7 @@ class TestIsSteinerSet:
             lambda f: min_steiner_dominating_set(
                 adjacency(*f.parent, *range(f.n, 19))
             ),
-            id="min_steiner_dominating_set_pruned",
+            id="min_steiner_dominating_set_leaf_supersets",
         ),
         pytest.param(steiner_number, id="steiner_number"),
     ],
@@ -286,11 +286,11 @@ class TestMinSteinerDominatingSet:
 
     @settings(max_examples=60)
     @given(tree_arrays(min_n=2, max_n=16))
-    def test_pruned_agrees_with_unpruned(self, pa):
+    def test_leaf_superset_search_agrees_with_bit_sliced(self, pa):
         t = build_adjacency(pa)
         assert min_steiner_dominating_set(t) == _leaf_superset_search(t)
 
-    def test_pruned_agrees_with_unpruned_on_every_tree_to_8(self):
+    def test_leaf_superset_search_agrees_with_bit_sliced_on_every_tree_to_8(self):
         for n in range(1, 9):
             for pa in enumerate_parent_arrays(n, "trees"):
                 t = build_adjacency(pa)
