@@ -157,6 +157,8 @@ def calls() -> list[tuple[list[str], str | None]]:
             for n in ("21", "22")]
     out.append(["gen", "--family", "caterpillar", "--spine", "40", "--pattern", "2,0,1",
                 "--n", "7"])
+    # and the --n check of every family that takes one: missing, and below 1
+    out += [["gen", "--family", "prufer"], ["gen", "--family", "path", "--n", "0"]]
     out += [["solve", name] for name in EXIT_1]
     out = [(argv, None) for argv in out]
     out += [(["solve", "/dev/stdin", "--format", name.rpartition(".")[2]], name)

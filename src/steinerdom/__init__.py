@@ -28,7 +28,7 @@ from .tree_model import (
 # for the solver does not also import random, statistics, tracemalloc and
 # the oracles.
 _LAZY = {
-    "bench": "DEFAULT_SIZES consecutive_ratios linearity_gate run_bench write_csv",
+    "bench": "DEFAULT_SIZES linearity_gate run_bench write_csv",
     "corpus": "FIXTURES GeneratorSpec enumerate_parent_arrays gen random_prufer_edges",
     "oracles": (
         "CapExceededError domination_number_dp induced_forest is_dominating_set "
@@ -74,7 +74,6 @@ __all__ = [
     "audit_instance",
     "build_adjacency",
     "closed_neighborhood",
-    "consecutive_ratios",
     "domination_number_dp",
     "enumerate_parent_arrays",
     "forest_domination",

@@ -34,7 +34,6 @@ from .steiner_domination import steiner_domination
 from .tree_model import ParentArray, Record, ValidationError
 
 CSV_COLUMNS = ("n", "algorithm", "ns_total_median", "ns_per_vertex")
-ALGORITHMS = ("forest_dom", "steiner_dom")
 DEFAULT_SIZES = (10_000, 100_000, 1_000_000)
 SEED = 987_654_321
 # the linearity gate: most growth allowed between consecutive sizes
@@ -75,7 +74,7 @@ def run_bench(
     if reps < 3:
         raise ValidationError(f"repetitions must be >= 3, got {reps}")
     trees = {n: gen(GeneratorSpec("prufer", n=n, seed=SEED)) for n in sizes}
-    cases = [(n, algorithm, trees[n]) for n in sizes for algorithm in ALGORITHMS]
+    cases = [(n, algorithm, trees[n]) for n in sizes for algorithm in _SOLVERS]
     times: list[list[int]] = [[] for _ in cases]
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -119,48 +118,31 @@ def write_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
             )
 
 
-def consecutive_ratios(
-    records: Sequence[BenchRecord], field: str = "ns_per_vertex"
-) -> tuple[tuple[str, int, int, float], ...]:
-    """(algorithm, smaller n, larger n, ratio) for consecutive sizes.
-
-    field selects what is compared: ns_per_vertex for the time-linearity
-    gate, peak_bytes for the memory-growth gate.
-    """
-    if field not in ("ns_per_vertex", "peak_bytes"):
-        raise ValidationError(f"unsupported ratio field {field!r}")
-    by_algo: dict[str, list[BenchRecord]] = {a: [] for a in ALGORITHMS}
-    for rec in records:
-        by_algo[rec.algorithm].append(rec)
-    ratios = []
-    for algorithm in ALGORITHMS:
-        runs = sorted(by_algo[algorithm], key=lambda r: r.n)
-        for lo, hi in zip(runs, runs[1:]):
-            lo_v = getattr(lo, field)
-            hi_v = getattr(hi, field)
-            ratios.append((algorithm, lo.n, hi.n, hi_v / lo_v))
-    return tuple(ratios)
-
-
 def linearity_gate(
     records: Sequence[BenchRecord],
 ) -> tuple[tuple[str, ...], bool]:
     """The linearity gate's verdict lines and whether every ratio passed.
 
-    One line per consecutive pair of sizes and algorithm, time first, then
-    memory, each marked ok or BREACH against its limit.
+    Records are grouped by pass and paired by consecutive sizes; a record
+    whose algorithm is not a pass raises KeyError.  One line per pair,
+    time first, then memory, each marked ok or BREACH against its limit.
     """
+    by_pass: dict[str, list[BenchRecord]] = {algorithm: [] for algorithm in _SOLVERS}
+    for rec in sorted(records, key=lambda r: r.n):
+        by_pass[rec.algorithm].append(rec)
     lines = []
     ok = True
     for kind, field, limit in (
         ("time  ", "ns_per_vertex", TIME_RATIO_LIMIT),
         ("memory", "peak_bytes", MEMORY_RATIO_LIMIT),
     ):
-        for algorithm, lo, hi, ratio in consecutive_ratios(records, field):
-            passed = ratio <= limit
-            ok = ok and passed
-            lines.append(
-                f"{kind} {algorithm:12} {lo} -> {hi}: {ratio:5.2f}x  "
-                f"{'ok' if passed else 'BREACH'}"
-            )
+        for algorithm, runs in by_pass.items():
+            for lo, hi in zip(runs, runs[1:]):
+                ratio = getattr(hi, field) / getattr(lo, field)
+                passed = ratio <= limit
+                ok = ok and passed
+                lines.append(
+                    f"{kind} {algorithm:12} {lo.n} -> {hi.n}: {ratio:5.2f}x  "
+                    f"{'ok' if passed else 'BREACH'}"
+                )
     return tuple(lines), ok

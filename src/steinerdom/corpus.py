@@ -164,23 +164,20 @@ def random_prufer_edges(n: int, seed: int) -> EdgeList:
 def gen(spec: GeneratorSpec) -> ParentArray:
     """Build the requested instance as a canonical parent array."""
     family = spec.family
-    if family == "path":
+    if family not in ("spider", "caterpillar"):
         n = _require_n(spec)
+    if family == "path":
         return ParentArray(n, (0,) + tuple(range(1, n)))
     if family == "star":
-        n = _require_n(spec)
         return ParentArray(n, (0,) + (1,) * (n - 1))
     if family == "binary":
-        n = _require_n(spec)
         return ParentArray(n, tuple(i // 2 for i in range(1, n + 1)))
     if family == "random_parent":
-        n = _require_n(spec)
         rng = random.Random(spec.seed)
         return ParentArray(
             n, (0,) + tuple(rng.randint(1, i) for i in range(1, n))
         )
     if family == "prufer":
-        n = _require_n(spec)
         return _relabel_rows(n, _random_prufer_rows(n, spec.seed))[0]
     if family == "spider":
         if spec.legs is None or spec.leg_length is None:
@@ -226,14 +223,10 @@ def enumerate_parent_arrays(n: int, mode: str = "trees") -> Iterator[ParentArray
         raise ValidationError(
             f"n={n} exceeds enumeration cap {ENUMERATION_MAX_N}"
         )
-    if mode == "trees":
-        ranges = [range(1, i) for i in range(2, n + 1)]
-        for tail in product(*ranges):
-            yield ParentArray(n, (0,) + tail)
-    else:
-        ranges = [range(0, i) for i in range(1, n + 1)]
-        for combo in product(*ranges):
-            yield ParentArray(n, combo)
+    low = 1 if mode == "trees" else 0
+    ranges = [range(1)] + [range(low, i) for i in range(2, n + 1)]
+    for combo in product(*ranges):
+        yield ParentArray(n, combo)
 
 
 # The 8-vertex double spider: a leaf on the center plus two length-3 legs.

@@ -15,7 +15,6 @@ from steinerdom import (
     DEFAULT_SIZES,
     GeneratorSpec,
     build_adjacency,
-    consecutive_ratios,
     domination_number_dp,
     enumerate_parent_arrays,
     forest_domination,
@@ -24,6 +23,7 @@ from steinerdom import (
     is_dominating_set,
     is_steiner_set,
     leaf_set,
+    linearity_gate,
     min_dominating_set,
     min_steiner_dominating_set,
     revalidate_certificate,
@@ -32,7 +32,6 @@ from steinerdom import (
     steiner_domination,
     steiner_number,
 )
-from steinerdom.bench import MEMORY_RATIO_LIMIT, TIME_RATIO_LIMIT
 
 pytestmark = pytest.mark.acceptance
 
@@ -214,19 +213,14 @@ def test_5_every_leaf_in_every_minimum_steiner_set(capsys):
 
 def test_6_linear_scaling(capsys):
     t0 = time.perf_counter()
-    records = run_bench(DEFAULT_SIZES, reps=5)
-    time_ratios = consecutive_ratios(records, "ns_per_vertex")
-    mem_ratios = consecutive_ratios(records, "peak_bytes")
-    worst_time = max(r for *_, r in time_ratios)
-    worst_mem = max(r for *_, r in mem_ratios)
-    ok = worst_time <= TIME_RATIO_LIMIT and worst_mem <= MEMORY_RATIO_LIMIT
+    # the verdict that `steinerdom bench` prints, from the same function
+    lines, ok = linearity_gate(run_bench(DEFAULT_SIZES, reps=5))
     _report(
         capsys,
         6,
         ok,
-        f"n in {{1e4,1e5,1e6}}: worst ns/vertex decade ratio {worst_time:.2f} "
-        f"(<= {TIME_RATIO_LIMIT:g}), worst peak-memory decade ratio {worst_mem:.2f} "
-        f"(<= {MEMORY_RATIO_LIMIT:g}) "
+        f"n in {{1e4,1e5,1e6}}, linearity gate: "
+        f"{'; '.join(' '.join(line.split()) for line in lines)} "
         f"({time.perf_counter() - t0:.1f}s)",
     )
 

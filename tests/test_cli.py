@@ -706,21 +706,30 @@ class TestBench:
             ns_total = int(ns_per_vertex * n)
             return BenchRecord(n, algorithm, ns_total, ns_per_vertex, peak_bytes)
 
+        # out of order, so that the lines pin the pairing by pass and by size
         records = [
-            rec(10, "forest_dom", 1.0, 100),
-            rec(10, "steiner_dom", 1.0, 100),
+            rec(1000, "steiner_dom", 3.5, 1300),  # both flat
             rec(100, "forest_dom", 3.0, 1200),  # both at their limits
+            rec(10, "steiner_dom", 1.0, 100),
+            rec(1000, "forest_dom", 9.3, 13200),  # time over, memory under
+            rec(10, "forest_dom", 1.0, 100),
             rec(100, "steiner_dom", 3.5, 1300),  # both over
         ]
         lines, ok = linearity_gate(records)
         assert not ok
-        assert [line.split()[0] + " " + line.split()[-1] for line in lines] == [
-            "time ok",
-            "time BREACH",
-            "memory ok",
-            "memory BREACH",
-        ]
-        assert linearity_gate(records[:3])[1]
+        assert lines == (
+            "time   forest_dom   10 -> 100:  3.00x  ok",
+            "time   forest_dom   100 -> 1000:  3.10x  BREACH",
+            "time   steiner_dom  10 -> 100:  3.50x  BREACH",
+            "time   steiner_dom  100 -> 1000:  1.00x  ok",
+            "memory forest_dom   10 -> 100: 12.00x  ok",
+            "memory forest_dom   100 -> 1000: 11.00x  ok",
+            "memory steiner_dom  10 -> 100: 13.00x  BREACH",
+            "memory steiner_dom  100 -> 1000:  1.00x  ok",
+        )
+        assert linearity_gate(records[1:3] + records[4:5])[1]
+        with pytest.raises(KeyError):
+            linearity_gate([rec(10, "other_dom", 1.0, 100)])
 
     def test_too_few_reps(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
