@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from itertools import compress, repeat
-from operator import setitem
-from pathlib import Path
+from itertools import compress
 
 from .forest_domination import forest_domination
 from .steiner_domination import steiner_domination
@@ -26,7 +24,6 @@ from .tree_model import (
     parse_edge_list,
     parse_parent_file,
     position_line,
-    read_ascii_file,
     relabel_bfs,
     validate,
 )
@@ -99,41 +96,65 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _pure_path(path_text: str) -> tuple[str, str]:
+    """``(str(path), path.name)`` for ``path = pathlib.PurePosixPath(path_text)``,
+    without loading pathlib: empty and "." components go, so repeated and
+    trailing slashes do, and a root of exactly two slashes stays.  "" and
+    "." become "." with the name "".  os.path.normpath and splitext differ
+    from pathlib ("a/.." stays, "..par" has the suffix ".par")."""
+    stripped = path_text.lstrip("/")
+    lead = len(path_text) - len(stripped)
+    root = "//" if lead == 2 else "/" if lead else ""
+    parts = [part for part in stripped.split("/") if part and part != "."]
+    return root + "/".join(parts) or ".", parts[-1] if parts else ""
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _solve_file(path_text: str, fmt: str):
     """Parse one tree file and run the construction on it: (n, result).
 
-    The file is read once, so a pipe gets the errors a file gets.  An .edg
-    tree is read into the BFS's rows directly; any other .edg text goes to
+    The file is read once, as bytes, so a pipe gets the errors a file gets;
+    the lexers decode it only for text that is not canonical.  An .edg tree
+    is read into the BFS's rows directly; any other .edg text goes to
     parse_edge_list and relabel_bfs, whose errors name the line.  validate
     and relabel_bfs find a second .par root or an .edg cycle after parsing
-    and know its entry or edge, from which the text names the line here.
+    and know its entry or edge, from which the data names the line here.
     """
-    path = Path(path_text)
+    # the path as pathlib spells it: its suffix sets the format, and an
+    # OSError's message quotes it
+    path, name = _pure_path(path_text)
     if fmt == "auto":
-        fmt = path.suffix.lower()[1:]
+        # pathlib's suffix: from the last dot, if the name neither starts
+        # nor ends there
+        dot = name.rfind(".")
+        fmt = name[dot + 1:].lower() if 0 < dot < len(name) - 1 else ""
         if fmt not in ("par", "edg"):
             raise TreeModelError(
-                f"cannot infer format of {path.name or path_text!r}; "
+                f"cannot infer format of {name or path_text!r}; "
                 "pass --format par|edg"
             )
-    text = read_ascii_file(path)
+    data = _read_bytes(path)
     try:
         if fmt == "par":
-            parents = parse_parent_file(text)
-            # steiner_domination's check, made while the text can name the line
+            parents = parse_parent_file(data)
+            # steiner_domination's check, made while the data can name the line
             validate(parents)
         else:
-            parents = _read_edge_tree(text)
+            parents = _read_edge_tree(data)
             if parents is None:
                 # not a tree: the checking parser and relabel_bfs raise the
                 # error that names its line
-                parents = relabel_bfs(parse_edge_list(text))[0]
+                parents = relabel_bfs(parse_edge_list(data))[0]
     except ValidationError as exc:
         if exc.position is None:
             raise
-        raise ParseError(f"line {position_line(text, exc.position)}: {exc}") from None
-    del text  # as large as the tree, and freed before the forest pass
-    # the parent tuple is freed with this frame, before the output
+        raise ParseError(f"line {position_line(data, exc.position)}: {exc}") from None
+    del data  # as large as the tree, and freed before the forest pass
+    # the parent array is freed with this frame, before the output
     return parents.n, steiner_domination(parents)
 
 
@@ -207,14 +228,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gamma_forest(args) -> int:
-    parents = parse_parent_file(read_ascii_file(args.input))
-    dom = forest_domination(parents)
-    size = len(dom)
-    # the set as byte flags, marked in C as steiner_domination marks its
-    # own, for the one vertex-list writer
+    parents = parse_parent_file(_read_bytes(args.input))
+    # the set as byte flags, marked by the pass as steiner_domination's is,
+    # for the one vertex-list writer
     in_set = bytearray(parents.n + 1)
-    any(map(setitem, repeat(in_set), dom, repeat(1)))
-    del dom
+    forest_domination(parents, into=in_set)
+    size = in_set.count(1)
     write = sys.stdout.write
     if args.json:
         write(f'{{"n": {parents.n}, "dominating_set": [')
@@ -252,6 +271,8 @@ def _cmd_gen(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
+        from pathlib import Path
+
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
@@ -259,6 +280,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from pathlib import Path
+
     if args.cert_dir is not None:
         cert_dir = Path(args.cert_dir)
     elif args.report is not None:

@@ -37,7 +37,8 @@ def forest_domination(
     trace: list[tuple[int, LabelState, LabelState]] | None = None,
     *,
     labels: bytes | None = None,
-) -> tuple[int, ...]:
+    into: bytearray | None = None,
+) -> tuple[int, ...] | None:
     """Return a minimum dominating set of the forest, ascending labels.
 
     ``labels`` gives each vertex its initial LabelState: n + 1 bytes, with
@@ -47,10 +48,17 @@ def forest_domination(
     the Bound vertices induce.  ``None`` starts every vertex Bound.  The
     empty forest yields the empty set.  When ``trace`` is a list, every
     actual state change is appended as (vertex, old_state, new_state).
+
+    The pass marks the set as byte flags, ``flags[v]`` set for a chosen
+    vertex v.  With ``into``, n + 1 flags of the caller's, it sets the
+    chosen vertices' flags there, leaves the others as they are and
+    returns None, so that no int per chosen vertex is kept.
     """
     n = parents.n
     par = parents.parent
     bound, required, free, out = _STATES  # ints: iterating the enum costs µs per call
+    if into is not None and len(into) != n + 1:
+        raise ValidationError(f"into must hold {n + 1} flags, got {len(into)}")
     if labels is None:
         label = bytearray(n + 1)
         order = range(n, 0, -1)
@@ -62,7 +70,7 @@ def forest_domination(
         # [:0:-1] lines the flags of n..1 up with the descending labels
         order = compress(range(n, 0, -1), labels.translate(_VISIT)[:0:-1])
     label[0] = out
-    chosen: list[int] = []  # descending; reversed once at the end
+    chosen = bytearray(n + 1) if into is None else into
     for i in order:
         p = par[i - 1]
         li = label[i]
@@ -72,10 +80,11 @@ def forest_domination(
                 trace.append((p, LabelState(lp), LabelState.REQUIRED))
             label[p] = required
         elif li != free:  # Required, or Bound with no parent to promote
-            chosen.append(i)
+            chosen[i] = 1
             if lp == bound:
                 if trace is not None:
                     trace.append((p, LabelState.BOUND, LabelState.FREE))
                 label[p] = free
-    chosen.reverse()
-    return tuple(chosen)
+    if into is None:
+        return tuple(compress(range(n + 1), chosen))
+    return None

@@ -28,7 +28,7 @@ forest_domination then runs on the tree's own parent array with the core
 flags translated into initial labels: a core vertex starts Bound, every
 other one Outside, so the pass visits the core vertices alone, and a core
 vertex whose tree parent is in N[L], or the tree's root, is a root of the
-core forest.  Its set, in tree labels, is marked into a copy of the leaf
+core forest.  It marks its set, in tree labels, into a copy of the leaf
 flags.  The result keeps the three flag arrays; every vertex tuple it
 offers is built from them when it is read.
 """
@@ -110,9 +110,16 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     any(map(setitem, repeat(is_leaf), par, repeat(1)))
     is_leaf = is_leaf.translate(_FLIP)
     # The degree-1 test: a non-root is a leaf iff it has no child, the root
-    # iff it has at most one (which covers K1).  Index 0 took the root's
-    # parent entry, so it reads 0.
-    is_leaf[1] = par.count(1) < 2
+    # iff it has at most one (which covers K1).  Vertex 2, when there is
+    # one, is the root's child, so the root is a leaf iff no later vertex
+    # is; index stops at the first.  Index 0 took the root's parent entry,
+    # so it reads 0.
+    try:
+        par.index(1, 2)
+    except ValueError:
+        is_leaf[1] = 1
+    else:
+        is_leaf[1] = 0
 
     # N[L] is the leaves, their parents and, when the root is a leaf, its
     # only child: vertex 2, as parent < vertex and vertex 1 is the root.
@@ -123,7 +130,7 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
         in_nl[2] = 1
     in_core = bytes(in_nl.translate(_FLIP))
     del in_nl
-    core_dom = forest_domination(parents, labels=in_core.translate(_CORE_LABELS))
+    # the core's set is marked beside the leaves, which are outside the core
     in_set = bytearray(is_leaf)
-    any(map(setitem, repeat(in_set), core_dom, repeat(1)))
+    forest_domination(parents, labels=in_core.translate(_CORE_LABELS), into=in_set)
     return SteinerDominationResult(bytes(is_leaf), in_core, bytes(in_set))

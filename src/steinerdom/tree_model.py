@@ -10,9 +10,9 @@ relabeling that restores the ordering.
 
 from __future__ import annotations
 
-import os
 import re
 import sys
+from array import array
 from collections.abc import Sequence
 from itertools import chain, compress, count, repeat
 from operator import not_
@@ -101,7 +101,9 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # an array field, such as a parent array, is unhashable: its bytes
+        # stand in for it
+        return hash(tuple(v.tobytes() if type(v) is array else v for v in self._values()))
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
@@ -126,28 +128,35 @@ class ParentArray(Record):
     empty forest) is allowed so that an empty induced subforest can be
     passed around without special cases; the file formats themselves
     require n >= 1.
+
+    ``parent`` is an ``array('I')``, 4 bytes per vertex: the constructor
+    takes any sequence of ints, checks each entry and then copies them
+    into one, except an ``array('I')``, which it keeps as it is.
     """
 
     __slots__ = ("n", "parent")
 
-    def __init__(self, n: int, parent: tuple[int, ...]) -> None:
+    def __init__(self, n: int, parent: Sequence[int]) -> None:
         if n < 0:
             raise ValidationError(f"vertex count must be >= 0, got {n}")
         if len(parent) != n:
             raise ValidationError(f"parent array has {len(parent)} entries, expected {n}")
         for idx, p in enumerate(parent):
-            # vertex label is idx + 1; parent must be in {0, .., idx}
+            # vertex label is idx + 1; parent must be in {0, .., idx}, which
+            # also keeps it in the array's range
             if not 0 <= p <= idx:
                 raise ValidationError(
                     f"parent of vertex {idx + 1} is {p} (must be in 0..{idx})", idx
                 )
+        if type(parent) is not array or parent.typecode != "I":
+            parent = array("I", parent)
         super().__init__(n, parent)
 
     def roots(self) -> tuple[int, ...]:
         return _roots(self.parent)
 
 
-def _roots(parent: tuple[int, ...]) -> tuple[int, ...]:
+def _roots(parent: Sequence[int]) -> tuple[int, ...]:
     """The labels whose parent entry is 0."""
     return tuple(compress(count(1), map(not_, parent)))
 
@@ -188,17 +197,18 @@ class AdjacencyTree(Record):
     __slots__ = ("n", "parent", "children", "degree")
 
 
-def read_ascii_file(path: str | os.PathLike) -> str:
-    """A .par or .edg file as text; a non-ASCII byte is a line-numbered
-    ParseError, as every other character outside the grammar is."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _ascii_text(source: str | bytes) -> str:
+    """A file's text, given as text or as its bytes: bytes decode as ASCII,
+    and a non-ASCII byte is a line-numbered ParseError, as every other
+    character outside the grammar is."""
+    if isinstance(source, str):
+        return source
     try:
-        return data.decode("ascii")
+        return source.decode("ascii")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = source.count(b"\n", 0, exc.start) + 1
         raise ParseError(
-            f"line {lineno}: byte 0x{data[exc.start]:02x} is not ASCII"
+            f"line {lineno}: byte 0x{source[exc.start]:02x} is not ASCII"
         ) from None
 
 
@@ -235,21 +245,27 @@ def _chunks(data: bytes, stop: int):
         start = end + 1
 
 
-def _lex(text: str) -> tuple[int, Sequence[int], tuple[int, ...], bytes | list[str]]:
+def _lex(
+    source: str | bytes, parents: bool = False
+) -> tuple[int, Sequence[int], Sequence[int], bytes | list[bytes]]:
     """The file-format rules that .par and .edg share.
 
-    Returns the vertex count n >= 1, the line number of every non-blank
-    line (the count's line first), every token after the count as an int,
-    in file order, and the text's layout, from which _lex_edg reads each
-    line's token count: a canonical text's ASCII bytes, any other text's
-    lines.  _lex_canonical reads canonical text, as gen and
-    format_parent_file write it; _lex_lines reads any other text and
-    raises every error.
+    ``source`` is the file's text, or its bytes, which are decoded only to
+    word an error.  Returns the vertex count n >= 1, the line number of
+    every non-blank line (the count's line first), every token after the
+    count as an int, in file order, and the text's layout, from which
+    _lex_edg reads each line's token count: a canonical text's ASCII
+    bytes, any other text's lines as bytes.  _lex_canonical reads
+    canonical text, as gen and format_parent_file write it, and gives
+    ``parents`` callers its tokens as one ``array('I')``; _lex_lines reads
+    any other text and raises every error.
     """
-    return _lex_canonical(text) or _lex_lines(text)
+    return _lex_canonical(source, parents) or _lex_lines(source)
 
 
-def _lex_canonical(text: str) -> tuple[int, range, tuple[int, ...], bytes] | None:
+def _lex_canonical(
+    source: str | bytes, parents: bool = False
+) -> tuple[int, range, Sequence[int], bytes] | None:
     """_lex's result for text in canonical form, or None for other text.
 
     Canonical text holds only digits, spaces and LF; its count line is a
@@ -262,11 +278,19 @@ def _lex_canonical(text: str) -> tuple[int, range, tuple[int, ...], bytes] | Non
     than Python's digit limit; any text it rejects, or whose count is
     below 1, goes to _lex_lines.  No line is split: the lines up to the
     last token are its LFs plus one.
+
+    With ``parents`` the tokens after the count go into one ``array('I')``,
+    extended by each chunk's list, so no int outlives its chunk; a token
+    at or above 2^32 sends the text to _lex_lines, whose tuple the
+    ParentArray check words.  Otherwise they are a tuple of ints.
     """
-    data = text.encode("ascii", "replace")
+    data = source if isinstance(source, bytes) else source.encode("ascii", "replace")
     if data.translate(None, _CANONICAL):
         return None  # a tab, a CR or a character outside the grammar
-    last = len(data.rstrip())  # the end of the last token
+    # the end of the last token, found without an rstrip copy of the text
+    last = len(data)
+    while last and data[last - 1] in b" \n":
+        last -= 1
     head = data.find(b"\n", 0, last)
     if not data[:last if head < 0 else head].isdigit():
         return None
@@ -276,18 +300,24 @@ def _lex_canonical(text: str) -> tuple[int, range, tuple[int, ...], bytes] | Non
     # map, not a generator expression, so that no slice outlives its array
     arrays = map(lambda chunk: "[" + chunk.translate(_TO_COMMAS).decode() + "]",
                  _chunks(data, last))
-    tokens = chain.from_iterable(map(json.loads, arrays))
+    lists = map(json.loads, arrays)
     try:
-        n = next(tokens)
-        rest = tuple(tokens)
-    except ValueError:
+        if parents:
+            rest = array("I")
+            any(map(rest.fromlist, lists))  # fromlist returns None
+            n = rest.pop(0)
+        else:
+            tokens = chain.from_iterable(lists)
+            n = next(tokens)
+            rest = tuple(tokens)
+    except (ValueError, OverflowError):
         return None
     if n < 1:
         return None
     return n, range(1, data.count(b"\n", 0, last) + 2), rest, data
 
 
-def _lex_lines(text: str) -> tuple[int, list[int], tuple[int, ...], list[str]]:
+def _lex_lines(source: str | bytes) -> tuple[int, list[int], tuple[int, ...], list[bytes]]:
     """_lex for any text, and the source of every error it raises.
 
     Checks the grammar in one C pass over the text's ASCII bytes (tokens
@@ -295,13 +325,17 @@ def _lex_lines(text: str) -> tuple[int, list[int], tuple[int, ...], list[str]]:
     lines are skipped) and reads the vertex count n >= 1 from the first
     non-blank line.  The bytes are split into tokens once; counting the
     tokens of each line is left to the parser that needs it, so the long
-    data line of a .par is not split a second time.
+    data line of a .par is not split a second time.  Bytes are decoded
+    only to word an error about a character outside the grammar, which
+    makes a non-ASCII byte that error.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    # a non-ASCII character encodes as "?", which is outside the grammar
-    data = text.encode("ascii", "replace")
+    # a non-ASCII character encodes as "?", which is outside the grammar,
+    # as a non-ASCII byte is
+    data = source if isinstance(source, bytes) else source.encode("ascii", "replace")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     if data.translate(None, _GRAMMAR):
+        text = _ascii_text(source).replace("\r\n", "\n")
         bad = _OUTSIDE_GRAMMAR.search(text)
         lineno = text.count("\n", 0, bad.start()) + 1
         raise ParseError(
@@ -320,18 +354,19 @@ def _lex_lines(text: str) -> tuple[int, list[int], tuple[int, ...], list[str]]:
         limit = sys.get_int_max_str_digits()
         lineno = next(
             lineno
-            for lineno, line in enumerate(text.split("\n"), start=1)
+            for lineno, line in enumerate(data.split(b"\n"), start=1)
             if any(len(tok) > limit for tok in line.split())
         )
         raise ParseError(
             f"line {lineno}: an integer has more digits than Python's limit of {limit}"
         ) from None
-    del data, tokens
+    del tokens
     # Split into lines only now: a copy of a long .par data line alive
     # during the token split above would add to the peak memory.
-    lines = text.split("\n")
-    # within the grammar a line is blank iff it strips to ""
-    linenos = list(compress(count(1), map(str.strip, lines)))
+    lines = data.split(b"\n")
+    del data
+    # within the grammar a line is blank iff it strips to b""
+    linenos = list(compress(count(1), map(bytes.strip, lines)))
     if not linenos:
         raise ParseError("line 1: empty input, expected a vertex count")
     first = len(lines[linenos[0] - 1].split())
@@ -344,14 +379,15 @@ def _lex_lines(text: str) -> tuple[int, list[int], tuple[int, ...], list[str]]:
     return n, linenos, rest, lines
 
 
-def parse_parent_file(text: str) -> ParentArray:
+def parse_parent_file(text: str | bytes) -> ParentArray:
     """Parse the .par format: line 1 is n, line 2 is n parent entries.
 
-    Raises ParseError with a line diagnostic for text outside the grammar,
-    line and entry count mismatches, and any parent entry that
-    ParentArray rejects.
+    ``text`` may be the file's bytes, decoded only for the int() lexer and
+    its messages.  Raises ParseError with a line diagnostic for text
+    outside the grammar or a non-ASCII byte, line and entry count
+    mismatches, and any parent entry that ParentArray rejects.
     """
-    n, linenos, parent, layout = _lex(text)
+    n, linenos, parent, layout = _lex(text, parents=True)
     del layout  # as large as the text, and only .edg reads it
     if len(linenos) == 1:
         raise ParseError(f"line {linenos[0]}: missing parent entries for {n} vertices")
@@ -368,7 +404,7 @@ def parse_parent_file(text: str) -> ParentArray:
         raise ParseError(f"line {linenos[1]}: {exc}") from None
 
 
-def parse_edge_list(text: str) -> EdgeList:
+def parse_edge_list(text: str | bytes) -> EdgeList:
     """Parse the .edg format: line 1 is n, then n-1 lines "u v".
 
     Raises ParseError with a line diagnostic for text outside the grammar,
@@ -384,7 +420,7 @@ def parse_edge_list(text: str) -> EdgeList:
         raise ParseError(f"line {linenos[exc.position + 1]}: {exc}") from None
 
 
-def _lex_edg(text: str) -> tuple[int, Sequence[int], tuple[int, ...]]:
+def _lex_edg(text: str | bytes) -> tuple[int, Sequence[int], tuple[int, ...]]:
     """_lex for an .edg text whose lines hold n - 1 edges of two labels
     each after the vertex count: (n, linenos, values).  Raises the
     ParseError for the first line that breaks that structure.  The layout,
@@ -405,7 +441,7 @@ def _lex_edg(text: str) -> tuple[int, Sequence[int], tuple[int, ...]]:
         counts = [len(spaces) + 1 for spaces in seps.split(b"\n")]
     else:
         # token counts of the non-blank lines, aligned with linenos
-        counts = list(filter(None, map(len, map(str.split, layout))))
+        counts = list(filter(None, map(len, map(bytes.split, layout))))
         if counts.count(2) == n - 1:
             return n, linenos, values
     k = next(k for k in range(1, n) if counts[k] != 2)
@@ -414,7 +450,7 @@ def _lex_edg(text: str) -> tuple[int, Sequence[int], tuple[int, ...]]:
     )
 
 
-def _read_edge_tree(text: str) -> ParentArray | None:
+def _read_edge_tree(text: str | bytes) -> ParentArray | None:
     """``relabel_bfs(parse_edge_list(text))[0]`` for an .edg text that
     holds a tree, built with no EdgeList and no edge tuples: the tokens
     fill relabel_bfs's adjacency rows directly.
@@ -440,7 +476,7 @@ def _read_edge_tree(text: str) -> ParentArray | None:
         return None
 
 
-def position_line(text: str, position: int) -> int:
+def position_line(text: str | bytes, position: int) -> int:
     """The line of a parsed .par or .edg text that holds parent entry or
     edge ``position`` (counted from 0).
 
@@ -524,7 +560,7 @@ def _relabel_rows(
         del deg
 
     new_of = [0] * (n + 1)
-    parent = [0] * n
+    parent = array("I", [0]) * n  # the ParentArray's own array
     new_of[root] = 1
     assigned = 1
     order = [root]  # the BFS queue: the loop walks it while it grows
@@ -548,8 +584,7 @@ def _relabel_rows(
             f"edge list is disconnected: reached {assigned} of {n} vertices"
         )
     # a vertex's parent was labelled before it, so every entry is in range
-    tree = ParentArray._trusted(n, tuple(parent))
-    del parent
+    tree = ParentArray._trusted(n, parent)
     del new_of[0]  # no vertex has label 0; the label map starts at vertex 1
     return tree, tuple(new_of)
 

@@ -53,7 +53,6 @@ from .tree_model import (
     format_parent_file,
     leaf_set,
     parse_parent_file,
-    read_ascii_file,
 )
 
 AUDIT_FIXTURE = "theorem1-audit-8"
@@ -129,7 +128,7 @@ def revalidate_certificate(
     missing or mistyped field included, and ParseError, as ``solve`` does,
     on a .par file outside the grammar or with a non-ASCII byte.
     """
-    parents = parse_parent_file(read_ascii_file(par_path))
+    parents = parse_parent_file(Path(par_path).read_bytes())
     try:
         data = json.loads(Path(json_path).read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -139,7 +138,7 @@ def revalidate_certificate(
     algorithm_size = _sidecar_field(data, "algorithm_size", int)
     oracle_size = _sidecar_field(data, "oracle_size", int)
     witness = _sidecar_field(data, "oracle_witness", list)
-    if n != parents.n or instance != parents.parent:
+    if n != parents.n or instance != tuple(parents.parent):
         raise ValidationError("sidecar instance does not match the .par file")
     recomputed = steiner_domination(parents).size
     if recomputed != algorithm_size:

@@ -116,6 +116,40 @@ class TestSolve:
             "steinerdom solve: error: cannot infer format of '.'; pass --format par|edg\n"
         )
 
+    @pytest.mark.parametrize("text", [
+        "tree.par", "tree.par/", "tree.par/.", "./tree.par", ".//tree.par//", "a//b.edg",
+        "..par", ".par", "foo.", "tree.PAR", "a/..", "a/./b.edg/.", "/", "//", "///x.par",
+        "//x.edg", "", ".", "./",
+    ])
+    def test_path_reads_as_pathlib_reads_it(self, text):
+        # solve's messages quote the path and name that pathlib gives, and
+        # its suffix sets the format
+        path = Path(text)
+        assert cli._pure_path(text) == (str(path), path.name)
+
+    def test_trailing_slash_keeps_the_suffix(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tree.par").write_text(P5_PATH_PAR)
+        assert run_cli(["solve", "./tree.par/.", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["size"] == 3
+        (tmp_path / "dir.par").mkdir()
+        for text in ("dir.par/", ".//dir.par//."):
+            assert run_cli(["solve", text]) == 1
+            assert capsys.readouterr().err == (
+                "steinerdom solve: error: [Errno 21] Is a directory: 'dir.par'\n"
+            )
+        assert run_cli(["solve", "./sub//absent.edg"]) == 1
+        assert capsys.readouterr().err == (
+            "steinerdom solve: error: [Errno 2] No such file or directory: "
+            "'sub/absent.edg'\n"
+        )
+        # a name starting with its only dot has no suffix; one with two has
+        for text, error in (("foo.", "cannot infer format of 'foo.'; pass --format par|edg"),
+                            (".par", "cannot infer format of '.par'; pass --format par|edg"),
+                            ("..par", "[Errno 2] No such file or directory: '..par'")):
+            assert run_cli(["solve", text]) == 1
+            assert capsys.readouterr().err == f"steinerdom solve: error: {error}\n"
+
     def test_unknown_suffix_needs_explicit_format(self, tmp_path, capsys):
         path = tmp_path / "edges.txt"
         path.write_text(P5_EDG)
@@ -193,6 +227,18 @@ class TestSolve:
         assert run_cli(["solve", str(tmp_path / "absent.par")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_parent_entry_of_2_32_names_its_line(self, tmp_path, capsys):
+        # too large for the parent array: the int() lexer reads it, and the
+        # ParentArray check words it
+        path = tmp_path / "big.par"
+        path.write_text("3\n0 1 4294967296\n")
+        for command in ("solve", "gamma-forest"):
+            assert run_cli([command, str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"steinerdom {command}: error: line 2: parent of vertex 3 is "
+                "4294967296 (must be in 0..2)\n"
+            )
+
     def test_non_ascii_byte_is_a_line_numbered_error(self, tmp_path, capsys):
         path = tmp_path / "bad.par"
         path.write_bytes(b"3\n0 1 \xff\n")
@@ -238,6 +284,8 @@ class TestPipedInput:
     @pytest.mark.parametrize("data", [
         pytest.param(b"3\n0 1 0\n", id="second-root"),
         pytest.param(b"3\n0 1 x\n", id="malformed"),
+        pytest.param(b"3\n0 1 \xff\n", id="non-ascii"),
+        pytest.param(b"3\n0 1 1\n\n\xff\n", id="non-ascii-after-the-data"),
         pytest.param((Path(__file__).resolve().parent.parent / "fixtures"
                       / "theorem1-audit-8.par").read_bytes(), id="fixture"),
     ])
@@ -246,6 +294,22 @@ class TestPipedInput:
 
     def test_gamma_forest(self, tmp_path, capsys):
         self._assert_same_as_file(["gamma-forest"], FOREST_PAR.encode(), tmp_path, capsys)
+
+    @pytest.mark.parametrize("data, line", [(b"3\n0 1 \xff\n", 2),
+                                            (b"3\n0 1 1\n\n\xff\n", 4)])
+    def test_non_ascii_byte_names_its_line(self, data, line, capsys):
+        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=_write_and_close, args=(write_end, data))
+        writer.start()
+        try:
+            code = run_cli(["solve", f"/dev/fd/{read_end}", "--format", "par"])
+        finally:
+            os.close(read_end)
+            writer.join()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"steinerdom solve: error: line {line}: byte 0xff is not ASCII\n"
+        )
 
 
 class TestGammaForest:
@@ -473,26 +537,30 @@ def _caterpillar(spine):
 
 class TestSolveMemory:
     """solve --json's tracemalloc peak per vertex at n = 10^5.  Measured
-    57.4-58.9 B/v on the path, 50.6 on the Prufer tree, 16.9 on the star
-    and 49.6 on the caterpillar (Python 3.11); each limit is that highest
-    reading plus 15%.  While steiner_domination built the three lists as
-    tuples of ints they were 84.3-85.8, 74.9, 64.3 and 73.5.  With the
-    json scanner reading the .par text they measured 57.5, 49.8, 14.4 and
-    49.0, against 57.5, 50.6, 14.4 and 49.5 through int() beside them.
+    12.1 B/v on the path, 12.3 on the Prufer tree, 11.5 on the star and
+    11.7 on the caterpillar (Python 3.11), with the file read as bytes,
+    its parents lexed into one array('I') and the forest pass marking its
+    set into byte flags; each limit is that reading plus 15%.  With a
+    tuple of parent ints, the file's text and the pass's tuple of chosen
+    vertices they were 57.4-58.9, 50.6, 16.9 and 49.6; while
+    steiner_domination built the three lists as tuples of ints they were
+    84.3-85.8, 74.9, 64.3 and 73.5.
 
     The .edg files hold the path, the Prufer tree and the star with
-    shuffled labels and lines.  Read straight into the BFS's rows they
-    measured 188.0, 187.9 and 216.2 B/v; through an EdgeList and its edge
-    tuples they were 283.0, 283.6 and 291.0.  With the text kept through
-    the BFS they measure 195.9, 195.9 and 228.1, before and after the
-    json scanner came in: the blank line after their count sends them to
-    the int() lexer.  The canonical rows hold the same text without that
-    blank line, so the json scanner reads them: 180.0, 180.6-180.7 and
-    228.1."""
+    shuffled labels and lines.  The blank line after their count sends
+    them to the int() lexer; the canonical rows hold the same text without
+    that blank line, so the json scanner reads them.  Read as bytes, with
+    the int() lexer's lines kept as bytes and relabel_bfs filling the
+    parent array directly, both kinds measure 180.2, 180.8 and 224.4 B/v.
+    Their limits are still those of the text's readings plus 15%: read as
+    text, the int() lexer's rows measured 195.9, 195.9 and 228.1 (216.2
+    before the text was kept through the BFS), and the canonical ones
+    180.0, 180.6-180.7 and 228.1; through an EdgeList and its edge tuples
+    they were 283.0, 283.6 and 291.0."""
 
     @pytest.mark.parametrize(
         "shape, limit",
-        [("path", 68), ("prufer", 59), ("star", 20), ("caterpillar", 58),
+        [("path", 14), ("prufer", 15), ("star", 14), ("caterpillar", 14),
          ("path.edg", 217), ("prufer.edg", 217), ("star.edg", 249),
          ("path.canonical.edg", 207), ("prufer.canonical.edg", 208),
          ("star.canonical.edg", 263)],

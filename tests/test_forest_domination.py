@@ -170,6 +170,33 @@ class TestOutside:
         assert len(d) == domination_number_dp(f)
 
 
+class TestInto:
+    """With ``into`` the pass marks its set in the caller's flags and
+    returns None; without it, it returns the same set as a tuple."""
+
+    @given(forest_arrays(max_n=40), st.data())
+    def test_marks_the_set_it_returns(self, pa, data):
+        flags = data.draw(st.lists(st.booleans(), min_size=pa.n, max_size=pa.n))
+        labels = _labels(pa.n, tuple(v for v in range(1, pa.n + 1) if not flags[v - 1]))
+        for kwargs in ({}, {"labels": labels}):
+            into = bytearray(pa.n + 1)
+            trace, marked_trace = [], []
+            dom = forest_domination(pa, trace, **kwargs)
+            assert forest_domination(pa, marked_trace, into=into, **kwargs) is None
+            assert into == bytes(v in dom for v in range(pa.n + 1))
+            assert marked_trace == trace
+
+    def test_other_flags_are_left_as_they_are(self):
+        into = bytearray(b"\1\0\0\0\0\1")
+        forest_domination(path_array(5), into=into)
+        assert into == bytearray(b"\1\1\0\0\1\1")
+
+    @pytest.mark.parametrize("size", [0, 5, 7])
+    def test_into_must_hold_n_plus_one_flags(self, size):
+        with pytest.raises(ValidationError, match=f"into must hold 6 flags, got {size}"):
+            forest_domination(path_array(5), into=bytearray(size))
+
+
 class TestInitialLabels:
     """Required and Free starts: the set is a smallest one that holds every
     Required vertex and dominates every Bound one, within the vertices
@@ -215,7 +242,7 @@ class TestAdditivity:
     @given(forest_arrays(min_n=1, max_n=20), forest_arrays(min_n=1, max_n=20))
     def test_concatenated_forests_sum(self, a, b):
         shifted = tuple(0 if p == 0 else p + a.n for p in b.parent)
-        merged = ParentArray(a.n + b.n, a.parent + shifted)
+        merged = ParentArray(a.n + b.n, tuple(a.parent) + shifted)
         assert len(forest_domination(merged)) == len(forest_domination(a)) + len(
             forest_domination(b)
         )

@@ -78,10 +78,11 @@ def test_solve_and_gamma_forest_load_no_generators(tmp_path):
                  ["gamma-forest", "t.par", "--json"]):
         loaded = _imports(argv, tmp_path, flags=["-S"])
         assert "steinerdom.cli" in loaded, argv
-        assert not loaded & {"steinerdom.corpus", "random"}, argv
+        assert not loaded & {"steinerdom.corpus", "random", "pathlib"}, argv
     # the probe sees them where a command does load them
-    loaded = _imports(["gen", "--family", "prufer", "--n", "5"], tmp_path, flags=["-S"])
-    assert {"steinerdom.corpus", "random"} <= loaded
+    loaded = _imports(["gen", "--family", "prufer", "--n", "5", "--out", "g.par"],
+                      tmp_path, flags=["-S"])
+    assert {"steinerdom.corpus", "random", "pathlib"} <= loaded
 
 
 @pytest.mark.parametrize(

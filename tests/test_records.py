@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from array import array
 
 import pytest
 
@@ -25,7 +26,7 @@ CERT = DiscrepancyCertificate(GADGET_8, 5, 4, (1, 2, 7, 8))
 
 # each record: its fields, and one field with a different value
 RECORDS = [
-    (ParentArray, dict(n=3, parent=(0, 1, 1)), "parent", (0, 1, 2)),
+    (ParentArray, dict(n=3, parent=(0, 1, 1)), "parent", array("I", (0, 1, 2))),
     (EdgeList, dict(n=3, edges=((1, 2), (2, 3))), "edges", ((1, 2), (1, 3))),
     (
         AdjacencyTree,
@@ -183,7 +184,7 @@ def test_one_constructor_binds_by_position_and_by_name(cls, fields, name, other)
 
 
 def test_repr_is_class_then_fields_in_order():
-    assert repr(ParentArray(2, (0, 1))) == "ParentArray(n=2, parent=(0, 1))"
+    assert repr(ParentArray(2, (0, 1))) == "ParentArray(n=2, parent=array('I', [0, 1]))"
     assert repr(CoreForest(1, (3,))) == "CoreForest(m=1, to_tree=(3,))"
 
 

@@ -69,7 +69,7 @@ class TestCoreForest:
 
 def _core_parents(pa, r):
     """Parent entries of the forest induced by the solver's core."""
-    return induced_forest(build_adjacency(pa), r.core.to_tree)[0].parent
+    return tuple(induced_forest(build_adjacency(pa), r.core.to_tree)[0].parent)
 
 
 def _assert_core_matches_definition(pa):

@@ -1,6 +1,9 @@
 """Data model: parsing, validation, relabeling, neighborhood primitives."""
 
+import copy
+import pickle
 import sys
+from array import array
 from collections import deque
 from itertools import combinations
 from math import comb
@@ -68,6 +71,43 @@ class TestParentArray:
     def test_multiple_roots(self):
         assert ParentArray(4, (0, 0, 1, 2)).roots() == (1, 2)
 
+    @pytest.mark.parametrize("parent, message, position", [
+        ((0, -1), "parent of vertex 2 is -1 (must be in 0..1)", 1),
+        ((0, 1, 2**32), "parent of vertex 3 is 4294967296 (must be in 0..2)", 2),
+    ], ids=["negative", "2^32"])
+    def test_entry_outside_the_array_range_is_a_validation_error(
+        self, parent, message, position
+    ):
+        # checked before the entries go into the array, whose conversion
+        # would raise OverflowError instead
+        with pytest.raises(ValidationError) as info:
+            ParentArray(len(parent), parent)
+        assert (str(info.value), info.value.position) == (message, position)
+
+    def test_parent_is_one_array_of_unsigned_ints(self):
+        text = "4\n0 1 1 3\n"
+        built = [ParentArray(4, (0, 1, 1, 3)), ParentArray(4, [0, 1, 1, 3]),
+                 parse_parent_file(text), parse_parent_file(text.encode()),
+                 parse_parent_file(text.replace(" ", "\t")),
+                 relabel_bfs(to_edge_list(path_array(4)))[0]]
+        for pa in built:
+            assert type(pa.parent) is array and pa.parent.typecode == "I", pa
+        kept = array("I", (0, 1, 1))
+        assert ParentArray(3, kept).parent is kept
+
+    def test_tuple_built_and_parsed_agree(self):
+        built = ParentArray(5, (0, 1, 1, 3, 3))
+        text = "5\n0 1 1 3 3\n"
+        for parsed in (parse_parent_file(text), parse_parent_file(text.encode()),
+                       parse_parent_file(text.replace(" ", "\t"))):
+            assert parsed == built and not parsed != built
+            assert hash(parsed) == hash(built)
+            for clone in (copy.copy(parsed), copy.deepcopy(parsed),
+                          pickle.loads(pickle.dumps(parsed))):
+                assert clone == built and hash(clone) == hash(built)
+        assert len({built, parse_parent_file(text)}) == 1
+        assert parse_parent_file("5\n0 1 1 3 2\n") != built
+
 
 class TestEdgeList:
     def test_valid(self):
@@ -88,7 +128,7 @@ class TestEdgeList:
 
 class TestParseParentFile:
     def test_p5(self):
-        assert parse_parent_file("5\n0 1 2 3 4\n").parent == (0, 1, 2, 3, 4)
+        assert tuple(parse_parent_file("5\n0 1 2 3 4\n").parent) == (0, 1, 2, 3, 4)
 
     def test_crlf(self):
         assert parse_parent_file("3\r\n0 1 1\r\n").n == 3
@@ -99,7 +139,7 @@ class TestParseParentFile:
     def test_round_trip(self):
         text = format_parent_file(ParentArray(4, (0, 1, 1, 3)))
         assert text == "4\n0 1 1 3\n"
-        assert parse_parent_file(text).parent == (0, 1, 1, 3)
+        assert tuple(parse_parent_file(text).parent) == (0, 1, 1, 3)
 
     @pytest.mark.parametrize(
         "text",
@@ -253,28 +293,28 @@ class TestLexChunks:
     def test_token_across_the_chunk_end(self):
         text = _par_with_a_token_across_the_chunk_end()
         assert len(text) > 2 * CHUNK
-        assert parse_parent_file(text).parent == PATH_PARENT
+        assert tuple(parse_parent_file(text).parent) == PATH_PARENT
 
     def test_run_of_spaces_at_the_chunk_end(self):
         text = _path_par(CHUNK + 2 - len(f"{N_PATH}\n0"))
         assert text[CHUNK - 1:CHUNK + 2] == "   "
-        assert parse_parent_file(text).parent == PATH_PARENT
+        assert tuple(parse_parent_file(text).parent) == PATH_PARENT
 
     def test_tab_only_separators(self):
         n = CHUNK // 2
         text = f"{n}\n" + "\t".join(map(str, range(n))) + "\n"
         assert len(text) > 2 * CHUNK
-        assert parse_parent_file(text).parent == tuple(range(n))
+        assert tuple(parse_parent_file(text).parent) == tuple(range(n))
         assert parse_edge_list("3\n1\t2\n\t2\t3\t\n").edges == ((1, 2), (2, 3))
 
     def test_leading_zeros(self):
-        assert parse_parent_file("008\n0 01 1 001 1 1 1 007\n").parent == (
+        assert tuple(parse_parent_file("008\n0 01 1 001 1 1 1 007\n").parent) == (
             0, 1, 1, 1, 1, 1, 1, 7,
         )
 
     def test_crlf_across_chunks(self):
         text = _par_with_a_token_across_the_chunk_end()
-        assert parse_parent_file(text.replace("\n", "\r\n")).parent == PATH_PARENT
+        assert tuple(parse_parent_file(text.replace("\n", "\r\n")).parent) == PATH_PARENT
         n = CHUNK // 4
         edg = f"{n}\r\n" + "".join(f"{v} {v - 1}\r\n" for v in range(2, n + 1))
         assert parse_edge_list(edg).edges == tuple((v, v - 1) for v in range(2, n + 1))
@@ -316,9 +356,10 @@ class TestLexChunks:
 
 LIMIT = sys.get_int_max_str_digits()
 # the grammar's alphabet in pieces: digit runs with and without leading
-# zeros, one over Python's digit limit, and single and doubled separators,
-# tabs, CRLF and blank lines
-_TOKENS = st.sampled_from(["0", "1", "2", "3", "9", "10", "12", "05", "007", "1" * (LIMIT + 1)])
+# zeros, 2^32, which no array('I') holds, one over Python's digit limit,
+# and single and doubled separators, tabs, CRLF and blank lines
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "9", "10", "12", "05", "007", "4294967296",
+                           "1" * (LIMIT + 1)])
 _SEPS = st.sampled_from([" ", "\n", "  ", "\t", " \t", "\r\n", "\n\n", " \n", "\n \n"])
 
 
@@ -355,10 +396,20 @@ def _lexers_agree(text):
     the same with the canonical path on and off."""
     expected = _result(lambda: _lexed(tree_model._lex_lines, text))
     assert _result(lambda: _lexed(tree_model._lex, text)) == expected
+
+    def par_lexed(source):
+        # a .par's tokens: one array('I') where they all fit
+        n, linenos, tokens = _lexed(lambda s: tree_model._lex(s, parents=True), source)
+        return n, linenos, tuple(tokens)
+
+    for source in (text, text.encode()):
+        assert _result(lambda: par_lexed(source)) == expected
     parsers = (parse_parent_file, parse_edge_list, tree_model._read_edge_tree)
     fast = [_result(lambda: parse(text)) for parse in parsers]
+    # solve and gamma-forest hand the parsers the file's bytes
+    assert [_result(lambda: parse(text.encode())) for parse in parsers] == fast
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tree_model, "_lex_canonical", lambda text: None)
+        mp.setattr(tree_model, "_lex_canonical", lambda text, parents=False: None)
         assert [_result(lambda: parse(text)) for parse in parsers] == fast
 
 
@@ -404,7 +455,7 @@ class TestCanonicalLexer:
         _lexers_agree(text)
 
     def test_count_05_and_space_tab_parse(self):
-        assert parse_parent_file("05\n0 1 2 3 4\n").parent == (0, 1, 2, 3, 4)
+        assert tuple(parse_parent_file("05\n0 1 2 3 4\n").parent) == (0, 1, 2, 3, 4)
         # with spaces and LFs as commas this scans as [3, 1, 2, 2, 3]: the
         # tab alone sends it to the int() lexer
         assert parse_edge_list("3\n1 \t2\n2 3\n").edges == ((1, 2), (2, 3))
@@ -428,6 +479,18 @@ class TestCanonicalLexer:
             parse_parent_file(text)
         assert str(info.value) == "line 2: parent of vertex 3 is 7 (must be in 0..2)"
 
+    def test_parent_entry_of_2_32_falls_back_and_names_line_2(self):
+        text = "3\n0 1 4294967296\n"
+        assert tree_model._lex_canonical(text) is not None
+        # a .par's tokens go into an array('I'), which cannot hold 2^32
+        assert tree_model._lex_canonical(text, parents=True) is None
+        for source in (text, text.encode()):
+            with pytest.raises(ParseError) as info:
+                parse_parent_file(source)
+            assert str(info.value) == (
+                "line 2: parent of vertex 3 is 4294967296 (must be in 0..2)"
+            )
+
     def test_over_cap_integer_falls_back_and_names_its_line(self):
         text = f"3\n1 2\n2 {'1' * (LIMIT + 1)}\n"
         assert tree_model._lex_canonical(text) is None
@@ -441,19 +504,19 @@ class TestCanonicalLexer:
 class TestRelabelBfs:
     def test_p5_explicit_midpoint_root(self):
         pa, label_map = relabel_bfs(to_edge_list(path_array(5)), root=3)
-        assert pa.parent == (0, 1, 1, 2, 3)
+        assert tuple(pa.parent) == (0, 1, 1, 2, 3)
         assert label_map[3 - 1] == 1  # the chosen root becomes vertex 1
 
     def test_p5_default_root_is_smallest_max_degree(self):
         # degrees on P5 are 1,2,2,2,1; ties break to the smallest label 2
         pa, label_map = relabel_bfs(to_edge_list(path_array(5)))
         assert label_map[2 - 1] == 1
-        assert pa.parent == (0, 1, 1, 3, 4)
+        assert tuple(pa.parent) == (0, 1, 1, 3, 4)
 
     def test_star_roots_at_center(self):
         pa, label_map = relabel_bfs(to_edge_list(star_array(6)))
         assert label_map[0] == 1
-        assert pa.parent == (0, 1, 1, 1, 1, 1)
+        assert tuple(pa.parent) == (0, 1, 1, 1, 1, 1)
 
     def test_root_out_of_range(self):
         with pytest.raises(ValidationError):
