@@ -160,12 +160,6 @@ def calls() -> list[tuple[list[str], str | None]]:
     # and the --n check of every family that takes one: missing, and below 1
     out += [["gen", "--family", "prufer"], ["gen", "--family", "path", "--n", "0"]]
     out += [["solve", name] for name in EXIT_1]
-    # path spellings: solve takes the suffix and the name that its messages
-    # quote as pathlib does; gamma-forest opens its path as given
-    out += [["solve", name] for name in ("./tree.par", "tree.par/", ".//tree.edg/.",
-                                          "missing.par", "./sub//missing.edg", "..par",
-                                          "foo.", "", "/")]
-    out.append(["gamma-forest", "./missing.par"])
     out = [(argv, None) for argv in out]
     out += [(["solve", "/dev/stdin", "--format", name.rpartition(".")[2]], name)
             for name in (*SOLVE_INPUTS, *EXIT_1)]

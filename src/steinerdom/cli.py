@@ -11,6 +11,7 @@ import argparse
 import gc
 import sys
 from itertools import compress
+from pathlib import Path
 
 from .forest_domination import forest_domination
 from .steiner_domination import steiner_domination
@@ -96,20 +97,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _pure_path(path_text: str) -> tuple[str, str]:
-    """``(str(path), path.name)`` for ``path = pathlib.PurePosixPath(path_text)``,
-    without loading pathlib: empty and "." components go, so repeated and
-    trailing slashes do, and a root of exactly two slashes stays.  "" and
-    "." become "." with the name "".  os.path.normpath and splitext differ
-    from pathlib ("a/.." stays, "..par" has the suffix ".par")."""
-    stripped = path_text.lstrip("/")
-    lead = len(path_text) - len(stripped)
-    root = "//" if lead == 2 else "/" if lead else ""
-    parts = [part for part in stripped.split("/") if part and part != "."]
-    return root + "/".join(parts) or ".", parts[-1] if parts else ""
-
-
-def _read_bytes(path: str) -> bytes:
+def _read_bytes(path: str | Path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -124,17 +112,12 @@ def _solve_file(path_text: str, fmt: str):
     and relabel_bfs find a second .par root or an .edg cycle after parsing
     and know its entry or edge, from which the data names the line here.
     """
-    # the path as pathlib spells it: its suffix sets the format, and an
-    # OSError's message quotes it
-    path, name = _pure_path(path_text)
+    path = Path(path_text)
     if fmt == "auto":
-        # pathlib's suffix: from the last dot, if the name neither starts
-        # nor ends there
-        dot = name.rfind(".")
-        fmt = name[dot + 1:].lower() if 0 < dot < len(name) - 1 else ""
+        fmt = path.suffix.lower()[1:]
         if fmt not in ("par", "edg"):
             raise TreeModelError(
-                f"cannot infer format of {name or path_text!r}; "
+                f"cannot infer format of {path.name or path_text!r}; "
                 "pass --format par|edg"
             )
     data = _read_bytes(path)
@@ -271,8 +254,6 @@ def _cmd_gen(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        from pathlib import Path
-
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
@@ -280,8 +261,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from pathlib import Path
-
     if args.cert_dir is not None:
         cert_dir = Path(args.cert_dir)
     elif args.report is not None:

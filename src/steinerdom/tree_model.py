@@ -131,7 +131,7 @@ class ParentArray(Record):
 
     ``parent`` is an ``array('I')``, 4 bytes per vertex: the constructor
     takes any sequence of ints, checks each entry and then copies them
-    into one, except an ``array('I')``, which it keeps as it is.
+    into one of its own, so no caller can change it afterwards.
     """
 
     __slots__ = ("n", "parent")
@@ -141,19 +141,24 @@ class ParentArray(Record):
             raise ValidationError(f"vertex count must be >= 0, got {n}")
         if len(parent) != n:
             raise ValidationError(f"parent array has {len(parent)} entries, expected {n}")
-        for idx, p in enumerate(parent):
-            # vertex label is idx + 1; parent must be in {0, .., idx}, which
-            # also keeps it in the array's range
-            if not 0 <= p <= idx:
-                raise ValidationError(
-                    f"parent of vertex {idx + 1} is {p} (must be in 0..{idx})", idx
-                )
-        if type(parent) is not array or parent.typecode != "I":
-            parent = array("I", parent)
-        super().__init__(n, parent)
+        _check_entries(parent)
+        super().__init__(n, array("I", parent))
 
     def roots(self) -> tuple[int, ...]:
         return _roots(self.parent)
+
+
+def _check_entries(parent: Sequence[int]) -> None:
+    """ValidationError, with its position, for the first entry that is not
+    a valid parent, checked before any entry goes into an array, whose
+    conversion would raise OverflowError instead."""
+    for idx, p in enumerate(parent):
+        # vertex label is idx + 1; parent must be in {0, .., idx}, which
+        # also keeps it in the array's range
+        if not 0 <= p <= idx:
+            raise ValidationError(
+                f"parent of vertex {idx + 1} is {p} (must be in 0..{idx})", idx
+            )
 
 
 def _roots(parent: Sequence[int]) -> tuple[int, ...]:
@@ -399,9 +404,13 @@ def parse_parent_file(text: str | bytes) -> ParentArray:
             f"line {linenos[1]}: expected {n} parent entries, found {len(parent)}"
         )
     try:
-        return ParentArray(n, parent)
+        _check_entries(parent)
     except ValidationError as exc:
         raise ParseError(f"line {linenos[1]}: {exc}") from None
+    # the canonical lexer's array is this call's own, so it is kept as it is
+    if type(parent) is not array:
+        parent = array("I", parent)
+    return ParentArray._trusted(n, parent)
 
 
 def parse_edge_list(text: str | bytes) -> EdgeList:

@@ -116,40 +116,6 @@ class TestSolve:
             "steinerdom solve: error: cannot infer format of '.'; pass --format par|edg\n"
         )
 
-    @pytest.mark.parametrize("text", [
-        "tree.par", "tree.par/", "tree.par/.", "./tree.par", ".//tree.par//", "a//b.edg",
-        "..par", ".par", "foo.", "tree.PAR", "a/..", "a/./b.edg/.", "/", "//", "///x.par",
-        "//x.edg", "", ".", "./",
-    ])
-    def test_path_reads_as_pathlib_reads_it(self, text):
-        # solve's messages quote the path and name that pathlib gives, and
-        # its suffix sets the format
-        path = Path(text)
-        assert cli._pure_path(text) == (str(path), path.name)
-
-    def test_trailing_slash_keeps_the_suffix(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "tree.par").write_text(P5_PATH_PAR)
-        assert run_cli(["solve", "./tree.par/.", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["size"] == 3
-        (tmp_path / "dir.par").mkdir()
-        for text in ("dir.par/", ".//dir.par//."):
-            assert run_cli(["solve", text]) == 1
-            assert capsys.readouterr().err == (
-                "steinerdom solve: error: [Errno 21] Is a directory: 'dir.par'\n"
-            )
-        assert run_cli(["solve", "./sub//absent.edg"]) == 1
-        assert capsys.readouterr().err == (
-            "steinerdom solve: error: [Errno 2] No such file or directory: "
-            "'sub/absent.edg'\n"
-        )
-        # a name starting with its only dot has no suffix; one with two has
-        for text, error in (("foo.", "cannot infer format of 'foo.'; pass --format par|edg"),
-                            (".par", "cannot infer format of '.par'; pass --format par|edg"),
-                            ("..par", "[Errno 2] No such file or directory: '..par'")):
-            assert run_cli(["solve", text]) == 1
-            assert capsys.readouterr().err == f"steinerdom solve: error: {error}\n"
-
     def test_unknown_suffix_needs_explicit_format(self, tmp_path, capsys):
         path = tmp_path / "edges.txt"
         path.write_text(P5_EDG)

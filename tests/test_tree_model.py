@@ -92,8 +92,12 @@ class TestParentArray:
                  relabel_bfs(to_edge_list(path_array(4)))[0]]
         for pa in built:
             assert type(pa.parent) is array and pa.parent.typecode == "I", pa
-        kept = array("I", (0, 1, 1))
-        assert ParentArray(3, kept).parent is kept
+        # the constructor copies even an array('I'), so its caller cannot
+        # change the record, or its hash, afterwards
+        given = array("I", (0, 1, 1))
+        pa = ParentArray(3, given)
+        given[1] = 7
+        assert pa.parent is not given and tuple(pa.parent) == (0, 1, 1)
 
     def test_tuple_built_and_parsed_agree(self):
         built = ParentArray(5, (0, 1, 1, 3, 3))
