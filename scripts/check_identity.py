@@ -2,6 +2,7 @@
 """Run the same steinerdom calls in two checkouts and diff everything they write.
 
     python3 scripts/check_identity.py --parent OLD --change NEW [--python EXE]
+    python3 scripts/check_identity.py --write-digests [--python EXE]
 
 OLD and NEW are checkouts (each with its own src/).  Every call is
 ``EXE -m steinerdom ...`` with ``PYTHONPATH=<checkout>/src``, run in a fresh
@@ -14,16 +15,29 @@ also run once more through a pipe on stdin, as ``solve /dev/stdin
 --format par|edg < FILE``.  It exits 1 if any call differed.  EXE
 defaults to the interpreter running this script; the CLI needs only the
 standard library.
+
+--write-digests runs the calls once, in the checkout that holds this
+script, and writes tests/golden_digests.json there: per call, the exit
+code and the SHA-256 of stdout, stderr and each written file, with the run
+directory's path (which ``verify --report`` prints) replaced by RUN_TOKEN.
+tests/test_golden_digests.py reruns the calls against that manifest.
 """
 
 import argparse
+import hashlib
+import json
 import os
+import platform
 import random
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "golden_digests.json"
+RUN_TOKEN = b"<run>"
 
 FAMILIES = {
     "path": ["--n", "300"],
@@ -88,7 +102,7 @@ def inputs() -> dict[str, bytes]:
     rng.shuffle(label)
     edges = [(label[v - 1], label[p - 1]) for v, p in enumerate(parent, start=1) if p]
     rng.shuffle(edges)
-    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "theorem1-audit-8.par"
+    fixture = ROOT / "fixtures" / "theorem1-audit-8.par"
     # solve writes its vertex lists in blocks of 1000 labels: these outputs
     # cross block seams
     big = 50_000
@@ -166,6 +180,11 @@ def calls() -> list[tuple[list[str], str | None]]:
     return out
 
 
+def label(argv: list[str], stdin: str | None) -> str:
+    """A call as it is printed and keyed in the manifest."""
+    return f"{' '.join(argv)}{'' if stdin is None else ' < ' + stdin}"
+
+
 def run(checkout: Path, python: str, argv: list[str], stdin: str | None,
         files: dict[str, bytes], work: Path) -> tuple:
     """One call in a fresh directory, with the input file named by stdin
@@ -187,12 +206,52 @@ def run(checkout: Path, python: str, argv: list[str], stdin: str | None,
     return proc.stdout, proc.stderr, proc.returncode, written
 
 
+def digests(result: tuple, work: Path) -> dict:
+    """One call's manifest entry: its exit code and the SHA-256 of stdout,
+    stderr and each written file, after the run directory's path is
+    replaced by RUN_TOKEN."""
+    stdout, stderr, code, written = result
+    run_dir = os.fsencode(work.resolve())
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data.replace(run_dir, RUN_TOKEN)).hexdigest()
+
+    return {"exit": code, "stdout": sha(stdout), "stderr": sha(stderr),
+            "files": {name: sha(data) for name, data in written.items()}}
+
+
+def run_digests(checkout: Path, python: str) -> dict[str, dict]:
+    """Every call's manifest entry, keyed by its label, in call order."""
+    files = inputs()
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "work"
+        for argv, stdin in calls():
+            out[label(argv, stdin)] = digests(
+                run(checkout, python, argv, stdin, files, work), work)
+    return out
+
+
+def write_digests(python: str) -> None:
+    manifest = {"python": platform.python_version(), "run_token": RUN_TOKEN.decode(),
+                "calls": run_digests(ROOT, python)}
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
+    print(f"{len(manifest['calls'])} calls written to {MANIFEST}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--write-digests", action="store_true", dest="write_digests",
+                        help="write tests/golden_digests.json from this checkout")
     parser.add_argument("--python", default=sys.executable)
     args = parser.parse_args()
+    if args.write_digests:
+        write_digests(args.python)
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required without --write-digests")
     files = inputs()
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -207,8 +266,7 @@ def main() -> int:
             differ += bool(what)
             status = f"DIFF ({', '.join(what)})" if what else "same"
             print(f"{status}  exit {old[2]}  {len(old[3])} files  "
-                  f"steinerdom {' '.join(argv)}{'' if stdin is None else ' < ' + stdin}",
-                  flush=True)
+                  f"steinerdom {label(argv, stdin)}", flush=True)
     print(f"{differ} of {len(calls())} calls differ")
     return 1 if differ else 0
 
