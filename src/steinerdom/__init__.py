@@ -29,7 +29,7 @@ from .tree_model import (
 # the oracles.
 _LAZY = {
     "bench": "DEFAULT_SIZES linearity_gate run_bench write_csv",
-    "corpus": "FIXTURES GeneratorSpec enumerate_parent_arrays gen random_prufer_edges",
+    "corpus": "FIXTURES enumerate_parent_arrays gen random_prufer_edges",
     "oracles": (
         "CapExceededError domination_number_dp induced_forest is_dominating_set "
         "is_steiner_set min_dominating_set min_steiner_dominating_set "
@@ -65,7 +65,6 @@ __all__ = [
     "DiscrepancyCertificate",
     "EdgeList",
     "FIXTURES",
-    "GeneratorSpec",
     "LabelState",
     "ParentArray",
     "ParseError",

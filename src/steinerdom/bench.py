@@ -28,7 +28,7 @@ import tracemalloc
 from collections.abc import Sequence
 from pathlib import Path
 
-from .corpus import GeneratorSpec, gen
+from .corpus import gen
 from .forest_domination import forest_domination
 from .steiner_domination import steiner_domination
 from .tree_model import ParentArray, Record, ValidationError
@@ -73,7 +73,7 @@ def run_bench(
         raise ValidationError(f"sizes must be strictly ascending, got {list(sizes)}")
     if reps < 3:
         raise ValidationError(f"repetitions must be >= 3, got {reps}")
-    trees = {n: gen(GeneratorSpec("prufer", n=n, seed=SEED)) for n in sizes}
+    trees = {n: gen("prufer", n, SEED) for n in sizes}
     cases = [(n, algorithm, trees[n]) for n in sizes for algorithm in _SOLVERS]
     times: list[list[int]] = [[] for _ in cases]
     gc_was_enabled = gc.isenabled()

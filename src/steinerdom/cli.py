@@ -239,18 +239,11 @@ def _cmd_gen(args) -> int:
                 f"pattern must be comma-separated integers, got {args.pattern!r}"
             )
     # looked up through the module, so that a wrapper set on cli.gen is
-    # seen; without one, __getattr__ below loads corpus's objects
-    module = sys.modules[__name__]
-    spec = module.GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        seed=args.seed,
-        legs=args.legs,
-        leg_length=args.leglen,
-        spine=args.spine,
-        pattern=pattern,
-    )
-    text = format_parent_file(module.gen(spec))
+    # seen; without one, __getattr__ below loads corpus's gen
+    text = format_parent_file(sys.modules[__name__].gen(
+        args.family, args.n, args.seed, legs=args.legs, leg_length=args.leglen,
+        spine=args.spine, pattern=pattern,
+    ))
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -318,15 +311,15 @@ def _cmd_bench(args) -> int:
 
 def __getattr__(name: str):
     # cli.run_verify loads verify, and the oracles behind it, on first use,
-    # and cli.gen and cli.GeneratorSpec load corpus, and random with it
+    # and cli.gen loads corpus, and random with it
     if name == "run_verify":
         from .verify import run_verify
 
         return run_verify
-    if name in ("gen", "GeneratorSpec"):
-        from . import corpus
+    if name == "gen":
+        from .corpus import gen
 
-        return getattr(corpus, name)
+        return gen
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

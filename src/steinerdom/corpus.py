@@ -16,8 +16,8 @@ import sys
 from collections.abc import Iterator
 from itertools import product
 
-from .tree_model import (FAMILIES, EdgeList, ParentArray, Record, ValidationError,
-                         _relabel_rows, relabel_bfs)
+from .tree_model import (FAMILIES, EdgeList, ParentArray, ValidationError, _relabel_rows,
+                         relabel_bfs)
 
 ENUMERATION_MAX_N = 10
 
@@ -26,35 +26,6 @@ PRUFER_MAX_N = 2**32 - 1
 # words per getrandbits call in _randints: large enough that the calls are
 # few, small enough that the chunk's int and bytes stay at 64 kB each
 _DRAW_CHUNK = 1 << 14
-
-
-class GeneratorSpec(Record):
-    """One instance request.  n is derived from the shape parameters for
-    spider (1 + legs * leg_length) and caterpillar (spine + leg sum); for
-    those families an explicit n must agree with the derived value."""
-
-    __slots__ = ("family", "n", "seed", "legs", "leg_length", "spine", "pattern")
-
-    def __init__(
-        self, family: str, n: int | None = None, seed: int = 0, legs: int | None = None,
-        leg_length: int | None = None, spine: int | None = None,
-        pattern: tuple[int, ...] | None = None,
-    ) -> None:
-        if family not in FAMILIES:
-            raise ValidationError(
-                f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
-            )
-        if not 0 <= seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
-        super().__init__(family, n, seed, legs, leg_length, spine, pattern)
-
-
-def _require_n(spec: GeneratorSpec) -> int:
-    if spec.n is None:
-        raise ValidationError(f"family {spec.family!r} requires n")
-    if spec.n < 1:
-        raise ValidationError(f"n must be >= 1, got {spec.n}")
-    return spec.n
 
 
 def _spider_edges(legs: int, leg_length: int) -> EdgeList:
@@ -161,11 +132,27 @@ def random_prufer_edges(n: int, seed: int) -> EdgeList:
     )
 
 
-def gen(spec: GeneratorSpec) -> ParentArray:
-    """Build the requested instance as a canonical parent array."""
-    family = spec.family
+def gen(
+    family: str, n: int | None = None, seed: int = 0, legs: int | None = None,
+    leg_length: int | None = None, spine: int | None = None,
+    pattern: tuple[int, ...] | None = None,
+) -> ParentArray:
+    """Build the requested instance as a canonical parent array.
+
+    n is derived from the shape parameters for spider (1 + legs *
+    leg_length) and caterpillar (spine + leg sum); for those families an
+    explicit n must agree with the derived value."""
+    if family not in FAMILIES:
+        raise ValidationError(
+            f"unknown family {family!r}; choose from {', '.join(FAMILIES)}"
+        )
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in 64 bits")
     if family not in ("spider", "caterpillar"):
-        n = _require_n(spec)
+        if n is None:
+            raise ValidationError(f"family {family!r} requires n")
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {n}")
     if family == "path":
         return ParentArray(n, (0,) + tuple(range(1, n)))
     if family == "star":
@@ -173,37 +160,35 @@ def gen(spec: GeneratorSpec) -> ParentArray:
     if family == "binary":
         return ParentArray(n, tuple(i // 2 for i in range(1, n + 1)))
     if family == "random_parent":
-        rng = random.Random(spec.seed)
+        rng = random.Random(seed)
         return ParentArray(
             n, (0,) + tuple(rng.randint(1, i) for i in range(1, n))
         )
     if family == "prufer":
-        return _relabel_rows(n, _random_prufer_rows(n, spec.seed))[0]
+        return _relabel_rows(n, _random_prufer_rows(n, seed))[0]
     if family == "spider":
-        if spec.legs is None or spec.leg_length is None:
+        if legs is None or leg_length is None:
             raise ValidationError("spider requires legs and leg_length")
-        if spec.legs < 2:
-            raise ValidationError(f"spider requires legs >= 2, got {spec.legs}")
-        if spec.leg_length < 1:
-            raise ValidationError(
-                f"spider requires leg_length >= 1, got {spec.leg_length}"
-            )
-        edges = _spider_edges(spec.legs, spec.leg_length)
-        shape = f"spider with legs={spec.legs} leg_length={spec.leg_length}"
+        if legs < 2:
+            raise ValidationError(f"spider requires legs >= 2, got {legs}")
+        if leg_length < 1:
+            raise ValidationError(f"spider requires leg_length >= 1, got {leg_length}")
+        edges = _spider_edges(legs, leg_length)
+        shape = f"spider with legs={legs} leg_length={leg_length}"
     elif family == "caterpillar":
-        if spec.spine is None:
+        if spine is None:
             raise ValidationError("caterpillar requires spine")
-        if spec.spine < 1:
-            raise ValidationError(f"caterpillar requires spine >= 1, got {spec.spine}")
-        pattern = spec.pattern if spec.pattern is not None else (1,)
+        if spine < 1:
+            raise ValidationError(f"caterpillar requires spine >= 1, got {spine}")
+        pattern = (1,) if pattern is None else pattern
         if not pattern or any(c < 0 for c in pattern):
             raise ValidationError("caterpillar pattern must be non-negative counts")
-        edges = _caterpillar_edges(spec.spine, pattern)
-        shape = f"caterpillar with spine={spec.spine} pattern={pattern}"
+        edges = _caterpillar_edges(spine, pattern)
+        shape = f"caterpillar with spine={spine} pattern={pattern}"
     else:
         raise AssertionError(f"unhandled family {family!r}")
-    if spec.n is not None and spec.n != edges.n:
-        raise ValidationError(f"{shape} has {edges.n} vertices, not {spec.n}")
+    if n is not None and n != edges.n:
+        raise ValidationError(f"{shape} has {edges.n} vertices, not {n}")
     return relabel_bfs(edges)[0]
 
 

@@ -30,7 +30,7 @@ import json
 import random
 from pathlib import Path
 
-from .corpus import ENUMERATION_MAX_N, FIXTURES, GeneratorSpec, enumerate_parent_arrays, gen
+from .corpus import ENUMERATION_MAX_N, FIXTURES, enumerate_parent_arrays, gen
 from .forest_domination import forest_domination
 from .oracles import (
     DOMINATING_CAP,
@@ -283,7 +283,7 @@ def _instance_stream(mode, max_n, count, seed):
         rng = random.Random(seed)
         for _ in range(count):
             n = rng.randint(2, max_n)
-            yield gen(GeneratorSpec("prufer", n=n, seed=rng.getrandbits(64)))
+            yield gen("prufer", n, rng.getrandbits(64))
 
 
 def run_verify(

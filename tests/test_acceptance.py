@@ -13,7 +13,6 @@ import pytest
 
 from steinerdom import (
     DEFAULT_SIZES,
-    GeneratorSpec,
     build_adjacency,
     domination_number_dp,
     enumerate_parent_arrays,
@@ -45,7 +44,7 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
 
 def _random_tree(rng: random.Random, n_lo: int, n_hi: int):
     n = rng.randint(n_lo, n_hi)
-    return gen(GeneratorSpec("prufer", n=n, seed=rng.getrandbits(64)))
+    return gen("prufer", n=n, seed=rng.getrandbits(64))
 
 
 def test_1_forest_pass_exhaustive(capsys):
@@ -229,15 +228,15 @@ def test_7_known_families(capsys):
     t0 = time.perf_counter()
     bad = []
     for n in range(3, 13):
-        size = steiner_domination(gen(GeneratorSpec("star", n=n))).size
+        size = steiner_domination(gen("star", n=n)).size
         if size != n - 1:
             bad.append(f"star{n}={size}")
     for n in (2, 3, 4):
-        size = steiner_domination(gen(GeneratorSpec("path", n=n))).size
+        size = steiner_domination(gen("path", n=n)).size
         if size != 2:
             bad.append(f"path{n}={size}")
     for n in range(5, 13):
-        pa = gen(GeneratorSpec("path", n=n))
+        pa = gen("path", n=n)
         expected = 2 + -(-(n - 4) // 3)
         size = steiner_domination(pa).size
         exact = min_steiner_dominating_set(build_adjacency(pa))[0]

@@ -164,7 +164,7 @@ class TestSolve:
     @pytest.mark.parametrize("n", [1, 2, 3, 1500])
     def test_edg_trees_match_the_checking_path(self, n, tmp_path, capsys, monkeypatch):
         path = tmp_path / "tree.edg"
-        parents = cli.gen(cli.GeneratorSpec("prufer", n, n))
+        parents = cli.gen("prufer", n, n)
         path.write_text(shuffled_edg(parents, random.Random(n)))
         assert run_cli(["solve", str(path), "--json"]) == 0
         out = capsys.readouterr().out
@@ -241,8 +241,8 @@ class TestPipedInput:
         assert from_pipe == from_file
 
     @pytest.mark.parametrize("text", MALFORMED_EDG + NOT_A_TREE_EDG + [
-        pytest.param(shuffled_edg(cli.gen(cli.GeneratorSpec("prufer", 300, 3)),
-                                  random.Random(3)), id="shuffled-prufer-300"),
+        pytest.param(shuffled_edg(cli.gen("prufer", 300, 3), random.Random(3)),
+                     id="shuffled-prufer-300"),
     ])
     def test_edg(self, text, tmp_path, capsys):
         self._assert_same_as_file(["solve", "--format", "edg"], text.encode(), tmp_path, capsys)
@@ -537,7 +537,7 @@ class TestSolveMemory:
         if shape == "path":
             parents = ParentArray(n, tuple(range(n)))
         elif shape == "prufer":
-            parents = cli.gen(cli.GeneratorSpec("prufer", n, 1))
+            parents = cli.gen("prufer", n, 1)
         elif shape == "star":
             parents = ParentArray(n, (0,) + (1,) * (n - 1))
         else:
@@ -863,7 +863,7 @@ class TestCollector:
         gc.callbacks.append(probe)
         try:
             # the control: the same generation, outside main, is collected
-            cli.format_parent_file(cli.gen(cli.GeneratorSpec("prufer", n=n, seed=3)))
+            cli.format_parent_file(cli.gen("prufer", n=n, seed=3))
             assert collections
             collections.clear()
             assert run_cli(gen_argv) == 0

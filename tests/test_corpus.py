@@ -11,7 +11,6 @@ import pytest
 from steinerdom import (
     FIXTURES,
     EdgeList,
-    GeneratorSpec,
     ValidationError,
     build_adjacency,
     enumerate_parent_arrays,
@@ -30,60 +29,63 @@ from conftest import reference_prufer_edges
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-class TestGeneratorSpec:
+class TestGen:
     def test_unknown_family(self):
-        with pytest.raises(ValidationError):
-            GeneratorSpec("wheel", n=5)
+        with pytest.raises(ValidationError, match="^unknown family 'wheel'; choose from "):
+            gen("wheel", n=5)
 
     def test_seed_range(self):
-        with pytest.raises(ValidationError):
-            GeneratorSpec("path", n=3, seed=2**64)
-        GeneratorSpec("path", n=3, seed=2**64 - 1)
+        with pytest.raises(ValidationError, match="^seed must fit in 64 bits$"):
+            gen("path", n=3, seed=2**64)
+        assert gen("path", n=3, seed=2**64 - 1).n == 3
 
-
-class TestGen:
     def test_path(self):
-        assert tuple(gen(GeneratorSpec("path", n=5)).parent) == (0, 1, 2, 3, 4)
+        assert tuple(gen("path", n=5).parent) == (0, 1, 2, 3, 4)
 
     def test_star(self):
-        assert tuple(gen(GeneratorSpec("star", n=4)).parent) == (0, 1, 1, 1)
+        assert tuple(gen("star", n=4).parent) == (0, 1, 1, 1)
 
     def test_binary(self):
-        assert tuple(gen(GeneratorSpec("binary", n=7)).parent) == (0, 1, 1, 2, 2, 3, 3)
+        assert tuple(gen("binary", n=7).parent) == (0, 1, 1, 2, 2, 3, 3)
 
     def test_spider_3x2(self):
-        pa = gen(GeneratorSpec("spider", legs=3, leg_length=2))
+        pa = gen("spider", legs=3, leg_length=2)
         assert tuple(pa.parent) == (0, 1, 1, 1, 2, 3, 4)
 
     def test_spider_needs_two_legs(self):
-        with pytest.raises(ValidationError):
-            gen(GeneratorSpec("spider", legs=1, leg_length=2))
+        with pytest.raises(ValidationError, match="^spider requires legs >= 2, got 1$"):
+            gen("spider", legs=1, leg_length=2)
 
     def test_spider_n_consistency(self):
-        assert gen(GeneratorSpec("spider", n=7, legs=3, leg_length=2)).n == 7
-        with pytest.raises(ValidationError):
-            gen(GeneratorSpec("spider", n=8, legs=3, leg_length=2))
+        assert gen("spider", n=7, legs=3, leg_length=2).n == 7
+        with pytest.raises(
+            ValidationError, match="^spider with legs=3 leg_length=2 has 7 vertices, not 8$"
+        ):
+            gen("spider", n=8, legs=3, leg_length=2)
 
     def test_caterpillar_counts(self):
-        pa = gen(GeneratorSpec("caterpillar", spine=4, pattern=(2, 0)))
+        pa = gen("caterpillar", spine=4, pattern=(2, 0))
         assert pa.n == 8
         t = build_adjacency(pa)
         assert len(leaf_set(t)) == 5  # 4 attached leaves plus one bare spine end
 
     def test_caterpillar_bad_pattern(self):
-        with pytest.raises(ValidationError):
-            gen(GeneratorSpec("caterpillar", spine=2, pattern=(-1,)))
+        for pattern in ((-1,), ()):
+            with pytest.raises(
+                ValidationError, match="^caterpillar pattern must be non-negative counts$"
+            ):
+                gen("caterpillar", spine=2, pattern=pattern)
 
     @pytest.mark.parametrize(
         "spec, message",
         [
-            (GeneratorSpec("spider", legs=3), "spider requires legs and leg_length"),
-            (GeneratorSpec("spider", leg_length=2), "spider requires legs and leg_length"),
-            (GeneratorSpec("spider", legs=3, leg_length=0),
+            (dict(family="spider", legs=3), "spider requires legs and leg_length"),
+            (dict(family="spider", leg_length=2), "spider requires legs and leg_length"),
+            (dict(family="spider", legs=3, leg_length=0),
              "spider requires leg_length >= 1, got 0"),
-            (GeneratorSpec("caterpillar", pattern=(1,)), "caterpillar requires spine"),
-            (GeneratorSpec("caterpillar", spine=0), "caterpillar requires spine >= 1, got 0"),
-            (GeneratorSpec("caterpillar", n=9, spine=4, pattern=(2, 0)),
+            (dict(family="caterpillar", pattern=(1,)), "caterpillar requires spine"),
+            (dict(family="caterpillar", spine=0), "caterpillar requires spine >= 1, got 0"),
+            (dict(family="caterpillar", n=9, spine=4, pattern=(2, 0)),
              "caterpillar with spine=4 pattern=(2, 0) has 8 vertices, not 9"),
         ],
         ids=["spider-no-leg-length", "spider-no-legs", "spider-leg-length-0",
@@ -91,47 +93,47 @@ class TestGen:
     )
     def test_shape_parameter_errors_are_named(self, spec, message):
         with pytest.raises(ValidationError) as info:
-            gen(spec)
+            gen(**spec)
         assert str(info.value) == message
 
     def test_missing_n(self):
-        with pytest.raises(ValidationError):
-            gen(GeneratorSpec("path"))
+        with pytest.raises(ValidationError, match="^family 'path' requires n$"):
+            gen("path")
 
     def test_n_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            gen(GeneratorSpec("star", n=0))
+        with pytest.raises(ValidationError, match="^n must be >= 1, got 0$"):
+            gen("star", n=0)
 
     def test_prufer_deterministic_in_seed(self):
-        a = gen(GeneratorSpec("prufer", n=50, seed=7))
-        b = gen(GeneratorSpec("prufer", n=50, seed=7))
-        c = gen(GeneratorSpec("prufer", n=50, seed=8))
+        a = gen("prufer", n=50, seed=7)
+        b = gen("prufer", n=50, seed=7)
+        c = gen("prufer", n=50, seed=8)
         assert a == b
         assert a != c  # overwhelmingly likely for n=50
 
     def test_random_parent_deterministic(self):
-        a = gen(GeneratorSpec("random_parent", n=30, seed=3))
-        assert a == gen(GeneratorSpec("random_parent", n=30, seed=3))
+        a = gen("random_parent", n=30, seed=3)
+        assert a == gen("random_parent", n=30, seed=3)
 
     @pytest.mark.parametrize(
         "spec",
         [
-            GeneratorSpec("path", n=1),
-            GeneratorSpec("path", n=9),
-            GeneratorSpec("star", n=2),
-            GeneratorSpec("binary", n=12),
-            GeneratorSpec("prufer", n=1, seed=5),
-            GeneratorSpec("prufer", n=2, seed=5),
-            GeneratorSpec("prufer", n=33, seed=5),
-            GeneratorSpec("random_parent", n=17, seed=5),
-            GeneratorSpec("spider", legs=2, leg_length=3),
-            GeneratorSpec("spider", legs=5, leg_length=1),
-            GeneratorSpec("caterpillar", spine=1, pattern=(3,)),
-            GeneratorSpec("caterpillar", spine=6),
+            dict(family="path", n=1),
+            dict(family="path", n=9),
+            dict(family="star", n=2),
+            dict(family="binary", n=12),
+            dict(family="prufer", n=1, seed=5),
+            dict(family="prufer", n=2, seed=5),
+            dict(family="prufer", n=33, seed=5),
+            dict(family="random_parent", n=17, seed=5),
+            dict(family="spider", legs=2, leg_length=3),
+            dict(family="spider", legs=5, leg_length=1),
+            dict(family="caterpillar", spine=1, pattern=(3,)),
+            dict(family="caterpillar", spine=6),
         ],
     )
     def test_every_family_yields_a_valid_tree(self, spec):
-        pa = gen(spec)
+        pa = gen(**spec)
         assert len(validate(pa)) == 1
 
 
@@ -219,7 +221,7 @@ class TestPruferDecode:
                 )
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(corpus, "_randints", lambda rng, n, m: list(seq))
-                assert gen(GeneratorSpec("prufer", n)) == relabel_bfs(el)[0], seq
+                assert gen("prufer", n) == relabel_bfs(el)[0], seq
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     def test_large_gen_is_the_reference_tree(self, seed):
@@ -227,7 +229,7 @@ class TestPruferDecode:
         rng = random.Random(seed)
         seq = [rng.randint(1, n) for _ in range(n - 2)]
         expected = relabel_bfs(reference_prufer_edges(n, seq))[0]
-        assert gen(GeneratorSpec("prufer", n, seed)) == expected
+        assert gen("prufer", n, seed) == expected
 
     def test_gen_peak_memory(self):
         """gen decodes into adjacency rows and relabels them in place; an
@@ -235,7 +237,7 @@ class TestPruferDecode:
         n = 10**5
         tracemalloc.start()
         try:
-            gen(GeneratorSpec("prufer", n, 1))
+            gen("prufer", n, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -297,6 +299,11 @@ class TestBulkDraws:
     def test_limit_is_named(self):
         with pytest.raises(ValidationError, match="4294967295"):
             random_prufer_edges(2**32, 0)
+
+    def test_n_must_be_positive(self):
+        for n in (0, -3):
+            with pytest.raises(ValidationError, match=f"^n must be >= 1, got {n}$"):
+                random_prufer_edges(n, 0)
 
 
 class TestTrustedEdgeLists:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from steinerdom import (
     CapExceededError,
-    GeneratorSpec,
     ParentArray,
     ValidationError,
     build_adjacency,
@@ -188,7 +187,7 @@ class TestMinDominatingSet:
 
     @pytest.mark.parametrize("family", ["path", "binary", "prufer"])
     def test_at_the_cap_matches_the_dp(self, family):
-        f = build_adjacency(gen(GeneratorSpec(family, n=20, seed=1)))
+        f = build_adjacency(gen(family, n=20, seed=1))
         size, witness = min_dominating_set(f)
         assert size == len(witness) == domination_number_dp(f)
         assert is_dominating_set(f, witness)
@@ -297,8 +296,8 @@ class TestMinSteinerDominatingSet:
                 assert min_steiner_dominating_set(t) == _leaf_superset_search(t), pa
 
     @pytest.mark.parametrize("family", ["path", "binary", "prufer"])
-    def test_pruned_agrees_with_unpruned_at_the_cap(self, family):
-        t = build_adjacency(gen(GeneratorSpec(family, n=18, seed=1)))
+    def test_leaf_superset_search_agrees_with_bit_sliced_at_the_cap(self, family):
+        t = build_adjacency(gen(family, n=18, seed=1))
         size, witness = min_steiner_dominating_set(t)
         assert (size, witness) == _leaf_superset_search(t)
         assert is_steiner_set(t, witness) and is_dominating_set(t, witness)
@@ -422,4 +421,4 @@ def test_minimum_steiner_sets_contain_every_leaf():
     rng = random.Random(424242)
     for _ in range(150):
         n = rng.randint(2, 12)
-        check(build_adjacency(gen(GeneratorSpec("prufer", n=n, seed=rng.getrandbits(64)))))
+        check(build_adjacency(gen("prufer", n=n, seed=rng.getrandbits(64))))

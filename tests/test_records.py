@@ -11,9 +11,9 @@ from steinerdom import (
     FIXTURES,
     DiscrepancyCertificate,
     EdgeList,
-    GeneratorSpec,
     ParentArray,
     ValidationError,
+    gen,
 )
 from steinerdom import oracles
 from steinerdom.bench import BenchRecord
@@ -34,7 +34,6 @@ RECORDS = [
         "children",
         ((2,), (3,), ()),
     ),
-    (GeneratorSpec, dict(family="spider", legs=2, leg_length=3), "seed", 1),
     (CoreForest, dict(m=2, to_tree=(3, 4)), "to_tree", (3, 5)),
     (
         SteinerDominationResult,
@@ -143,13 +142,9 @@ class TestValueSemantics:
             assert f"{field}=" in text
 
 
-# GeneratorSpec defaults every field after family
-REQUIRED_FIELDS = {GeneratorSpec: 1}
-
-
 def test_only_the_checking_records_define_a_constructor():
     assert {cls for cls in Record.__subclasses__() if "__init__" in vars(cls)} == {
-        ParentArray, EdgeList, GeneratorSpec, DiscrepancyCertificate,
+        ParentArray, EdgeList, DiscrepancyCertificate,
     }
 
 
@@ -166,14 +161,13 @@ def test_one_constructor_binds_by_position_and_by_name(cls, fields, name, other)
 
     # each wrong call, and the field its TypeError names (Python's own
     # messages name it too, for the records that define __init__)
-    required = REQUIRED_FIELDS.get(cls, len(names))
     first = names[0]
     wrong = [
         (lambda: cls(**{k: v for k, v in by_name.items() if k != first}), first),
         (lambda: cls(*values, bogus=other), "bogus"),
         (lambda: cls(*values[:1], **by_name), first),
         (lambda: cls(*values, other), None),
-        (lambda: cls(*values[: required - 1]), names[required - 1]),
+        (lambda: cls(*values[:-1]), names[-1]),
     ]
     for build, field in wrong:
         with pytest.raises(TypeError) as exc:
@@ -218,13 +212,14 @@ def test_trusted_edge_list_equals_checked():
         (lambda: EdgeList(3, ((2, 2),)), "self-loop at vertex 2", 0),
         (lambda: EdgeList(3, ((1, 2), (2, 1))), "duplicate edge (1, 2)", 1),
         (
-            lambda: GeneratorSpec("tree", n=3),
+            # gen's request checks, made before it builds anything
+            lambda: gen("tree", n=3),
             "unknown family 'tree'; choose from path, star, spider, caterpillar, "
             "binary, prufer, random_parent",
             None,
         ),
-        (lambda: GeneratorSpec("path", n=3, seed=2**64), "seed must fit in 64 bits", None),
-        (lambda: GeneratorSpec("path", seed=-1), "seed must fit in 64 bits", None),
+        (lambda: gen("path", n=3, seed=2**64), "seed must fit in 64 bits", None),
+        (lambda: gen("path", seed=-1), "seed must fit in 64 bits", None),
         (
             lambda: DiscrepancyCertificate(GADGET_8, 4, 4, (1, 2, 7, 8)),
             "certificate needs oracle_size < algorithm_size, got 4 vs 4",
