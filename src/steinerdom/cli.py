@@ -176,37 +176,45 @@ def _write_members(write, flags, sep: str, suffixes: tuple[str, ...]) -> None:
             lead = sep
 
 
-# solve and gamma-forest write json.dumps of their payloads, and the text
-# lines, piece by piece: they print ints and int lists only, so no output
-# exists whole
+def _write_report(as_json: bool, fields) -> None:
+    """Write solve's or gamma-forest's report: (JSON key, text label, value)
+    fields, as the json.dumps of one object or as one "label: value" line
+    each.  A value is an int, or the byte flags of a vertex list, written
+    piece by piece by _write_members, so no output exists whole."""
+    write = sys.stdout.write
+    suffixes = _suffixes()
+    # per format: what precedes the first field, a list's separator and
+    # brackets, and what ends the report; later fields follow ", " or "\n"
+    if as_json:
+        lead, sep, brackets, end = "{", ", ", "[]", "}\n"
+    else:
+        lead, sep, brackets, end = "", " ", ("", ""), "\n"
+    for key, label, value in fields:
+        write(f'{lead}"{key}": ' if as_json else f"{lead}{label}: ")
+        lead = ", " if as_json else "\n"
+        if isinstance(value, int):
+            write(str(value))
+        else:
+            write(brackets[0])
+            _write_members(write, value, sep, suffixes)
+            write(brackets[1])
+    write(end)
+
+
 def _cmd_solve(args) -> int:
     n, res = _solve_file(args.input, args.format)
     # the set is the leaves and the core's set, disjoint, so formula_value,
     # len(leaves) + gamma_h, is always the size
     size = res.size
-    gamma_h = size - res.is_leaf.count(1)
-    if args.json:
-        sep = ", "
-        heads = (
-            f'{{"n": {n}, "leaves": [',
-            '], "h_vertices": [',
-            f'], "gamma_h": {gamma_h}, "steiner_dominating_set": [',
-        )
-        tail = f'], "size": {size}, "formula_value": {size}}}\n'
-    else:
-        sep = " "
-        heads = (
-            f"n: {n}\nleaves: ",
-            "\ncore vertices: ",
-            f"\ncore domination number: {gamma_h}\nsteiner dominating set: ",
-        )
-        tail = f"\nsize: {size}\nformula value: {size}\n"
-    write = sys.stdout.write
-    suffixes = _suffixes()
-    for head, flags in zip(heads, (res.is_leaf, res.in_core, res.in_set)):
-        write(head)
-        _write_members(write, flags, sep, suffixes)
-    write(tail)
+    _write_report(args.json, (
+        ("n", "n", n),
+        ("leaves", "leaves", res.is_leaf),
+        ("h_vertices", "core vertices", res.in_core),
+        ("gamma_h", "core domination number", size - res.is_leaf.count(1)),
+        ("steiner_dominating_set", "steiner dominating set", res.in_set),
+        ("size", "size", size),
+        ("formula_value", "formula value", size),
+    ))
     return 0
 
 
@@ -216,16 +224,11 @@ def _cmd_gamma_forest(args) -> int:
     # for the one vertex-list writer
     in_set = bytearray(parents.n + 1)
     forest_domination(parents, into=in_set)
-    size = in_set.count(1)
-    write = sys.stdout.write
-    if args.json:
-        write(f'{{"n": {parents.n}, "dominating_set": [')
-        _write_members(write, in_set, ", ", _suffixes())
-        write(f'], "size": {size}}}\n')
-    else:
-        write(f"n: {parents.n}\ndominating set: ")
-        _write_members(write, in_set, " ", _suffixes())
-        write(f"\nsize: {size}\n")
+    _write_report(args.json, (
+        ("n", "n", parents.n),
+        ("dominating_set", "dominating set", in_set),
+        ("size", "size", in_set.count(1)),
+    ))
     return 0
 
 

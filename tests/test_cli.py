@@ -17,9 +17,11 @@ import pytest
 from steinerdom import (
     CapExceededError,
     ParentArray,
+    ValidationError,
     format_parent_file,
     linearity_gate,
     relabel_bfs,
+    run_bench,
 )
 from steinerdom import cli, verify
 from steinerdom.bench import BenchRecord
@@ -667,6 +669,16 @@ class TestVerify:
         assert (cert_dir / "theorem1-audit-8.par").is_file()
         assert "instances: 9" in capsys.readouterr().out
 
+    def test_default_cert_dir_is_under_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["verify", "--mode", "exhaustive", "--max-n", "2"]) == 2
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert written == ["certificates", "certificates/theorem1-audit-8.json",
+                           "certificates/theorem1-audit-8.par"]
+        assert "discrepancies: 1 (certificates in certificates)\n" in capsys.readouterr().out
+
     def test_bad_max_n(self, tmp_path, capsys):
         code = run_cli(
             [
@@ -778,6 +790,15 @@ class TestBench:
         )
         assert code == 1
         assert "ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("sizes", "message"), [
+        ((), "need at least one size"),
+        ((1, 10), "sizes must be >= 2"),
+    ], ids=["no-sizes", "size-1"])
+    def test_bad_sizes_are_named(self, sizes, message):
+        with pytest.raises(ValidationError) as info:
+            run_bench(sizes=sizes)
+        assert str(info.value) == message
 
     def test_seed_is_a_usage_error(self, capsys):
         # every bench run uses bench.SEED
