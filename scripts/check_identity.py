@@ -243,7 +243,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
-    parser.add_argument("--write-digests", action="store_true", dest="write_digests",
+    parser.add_argument("--write-digests", action="store_true",
                         help="write tests/golden_digests.json from this checkout")
     parser.add_argument("--python", default=sys.executable)
     args = parser.parse_args()
