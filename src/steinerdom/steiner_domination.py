@@ -39,7 +39,7 @@ from itertools import compress, repeat
 from operator import setitem
 
 from .forest_domination import LabelState, forest_domination
-from .tree_model import ParentArray, Record, validate
+from .tree_model import _ONE, ParentArray, Record, _find_entry, validate
 
 # swaps the 0/1 byte flags
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -112,14 +112,9 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     # The degree-1 test: a non-root is a leaf iff it has no child, the root
     # iff it has at most one (which covers K1).  Vertex 2, when there is
     # one, is the root's child, so the root is a leaf iff no later vertex
-    # is; index stops at the first.  Index 0 took the root's parent entry,
-    # so it reads 0.
-    try:
-        par.index(1, 2)
-    except ValueError:
-        is_leaf[1] = 1
-    else:
-        is_leaf[1] = 0
+    # is; the search stops at the first.  Index 0 took the root's parent
+    # entry, so it reads 0.
+    is_leaf[1] = _find_entry(par, _ONE, 2) < 0
 
     # N[L] is the leaves, their parents and, when the root is a leaf, its
     # only child: vertex 2, as parent < vertex and vertex 1 is the root.

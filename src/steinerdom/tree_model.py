@@ -166,6 +166,31 @@ def _roots(parent: Sequence[int]) -> tuple[int, ...]:
     return tuple(compress(count(1), map(not_, parent)))
 
 
+# The bytes of one array('I') entry holding 0 or 1, in this machine's order.
+_ZERO = re.compile(re.escape(array("I", (0,)).tobytes()))
+_ONE = re.compile(re.escape(array("I", (1,)).tobytes()))
+
+
+def _find_entry(parent: array, pattern: re.Pattern[bytes], start: int) -> int:
+    """``parent.index(value, start)``, or -1 when no entry from ``start`` on
+    holds the value, for a pattern of one entry's bytes (_ZERO or _ONE).
+
+    The search runs over the array's bytes, so no int is made per entry.
+    A match whose offset is not a multiple of the item size straddles two
+    entries (little-endian, 255 then 256 hold four zero bytes from offset
+    1); the search goes on from the byte after it.
+    """
+    size = parent.itemsize
+    data = memoryview(parent).cast("B")
+    pos = start * size
+    while (match := pattern.search(data, pos)) is not None:
+        pos = match.start()
+        if not pos % size:
+            return pos // size
+        pos += 1
+    return -1
+
+
 class EdgeList(Record):
     """An unrooted graph on labels 1..n given as unordered edges."""
 
@@ -628,8 +653,9 @@ def validate(parents: ParentArray | AdjacencyTree) -> tuple[int, ...]:
     second root is reported with the position of its parent entry, so
     that a caller holding the file can name its line.
     """
-    # parent < vertex makes vertex 1 a root whenever n >= 1
-    if parents.parent.count(0) == 1:
+    # parent < vertex makes vertex 1 a root whenever n >= 1, so a tree is
+    # an array with no 0 after its first entry
+    if parents.n and _find_entry(parents.parent, _ZERO, 1) < 0:
         return (1,)
     roots = _roots(parents.parent)
     # a forest file may hold a root per vertex; the message names a few

@@ -155,6 +155,15 @@ class TestSteinerDomination:
     def test_p2_both_leaves(self):
         assert steiner_domination(path_array(2)).steiner_dominating_set == (1, 2)
 
+    def test_root_leaf_test_skips_a_straddled_one(self):
+        # a path on 1..513, then 514 under 256 and 515 under 512: entries
+        # 511 then 512 and 256 then 512 hold the bytes of a 1 across two
+        # entries when little-endian, yet the root has one child
+        pa = ParentArray(515, (0,) + tuple(range(1, 513)) + (256, 512))
+        r = steiner_domination(pa)
+        assert r.leaves == (1, 513, 514, 515) == leaf_set(build_adjacency(pa))
+        assert is_steiner_set(build_adjacency(pa), r.steiner_dominating_set)
+
     def test_forest_rejected(self):
         with pytest.raises(ValidationError):
             steiner_domination(ParentArray(4, (0, 0, 1, 2)))

@@ -668,6 +668,30 @@ class TestValidate:
             validate(ParentArray(5, (0, 1, 0, 3, 0)))
         assert info.value.position == 2
 
+    def test_k1_and_one_edge_are_trees(self):
+        assert validate(ParentArray(1, (0,))) == validate(path_array(2)) == (1,)
+
+    def test_zero_bytes_straddling_two_entries_are_no_root(self):
+        # entries 255 then 256 hold four zero bytes at offset 1021 when
+        # little-endian; the search must skip them
+        pa = path_array(300)
+        if sys.byteorder == "little":
+            data = memoryview(pa.parent).cast("B")
+            assert tree_model._ZERO.search(data, 4).start() == 1021
+        assert validate(pa) == (1,)
+
+    def test_second_root_right_after_a_straddle(self):
+        # 255 and 256 straddle at offset 1021, and 256 then 0 at 1026 and
+        # 1027, before vertex 258's own entry at byte 1028
+        pa = ParentArray(258, (0,) + tuple(range(1, 257)) + (0,))
+        with pytest.raises(ValidationError) as info:
+            validate(pa)
+        assert str(info.value) == (
+            "vertex 258 is a second root; "
+            "tree mode requires exactly one root, found 2: [1, 258]"
+        )
+        assert info.value.position == 257
+
     def test_empty_forest_is_not_a_tree(self):
         with pytest.raises(ValidationError, match="found 0") as info:
             validate(ParentArray(0, ()))
@@ -685,6 +709,30 @@ class TestValidate:
 
     def test_forest_accepts_many_roots(self):
         assert ParentArray(3, (0, 0, 0)).roots() == (1, 2, 3)
+
+
+# entries at or next to k * 2^8, 2^16 or 2^24: their zero and one bytes
+# line up across entry boundaries, so unaligned matches are common
+_NEAR_BYTE_BOUNDARIES = st.builds(
+    lambda shift, k, d: max(0, (k << shift) + d),
+    st.sampled_from((8, 16, 24)),
+    st.integers(0, 3),
+    st.integers(-1, 1),
+)
+
+
+class TestFindEntry:
+    @given(st.lists(_NEAR_BYTE_BOUNDARIES, max_size=40), st.integers(0, 42))
+    @example([255, 256, 0], 1)
+    @example([256, 512], 0)
+    def test_equals_index_or_minus_one(self, entries, start):
+        parent = array("I", entries)
+        for value, pattern in ((0, tree_model._ZERO), (1, tree_model._ONE)):
+            try:
+                expected = parent.index(value, start)
+            except ValueError:
+                expected = -1
+            assert tree_model._find_entry(parent, pattern, start) == expected
 
 
 class TestLeafSet:
