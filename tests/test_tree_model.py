@@ -657,7 +657,9 @@ def test_relabel_bfs_names_the_triangle_beside_an_edge():
 
 class TestValidate:
     def test_tree_accepts_single_root(self):
-        assert validate(path_array(3)) == (1,)
+        # K1 and one edge too: no entry follows the root's, or only a 1
+        for pa in (path_array(3), ParentArray(1, (0,)), path_array(2)):
+            assert validate(pa) == (1,)
 
     def test_tree_rejects_forest(self):
         with pytest.raises(ValidationError):
@@ -667,9 +669,6 @@ class TestValidate:
         with pytest.raises(ValidationError, match="vertex 3 is a second root") as info:
             validate(ParentArray(5, (0, 1, 0, 3, 0)))
         assert info.value.position == 2
-
-    def test_k1_and_one_edge_are_trees(self):
-        assert validate(ParentArray(1, (0,))) == validate(path_array(2)) == (1,)
 
     def test_zero_bytes_straddling_two_entries_are_no_root(self):
         # entries 255 then 256 hold four zero bytes at offset 1021 when
