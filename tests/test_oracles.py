@@ -296,7 +296,7 @@ class TestMinSteinerDominatingSet:
                 assert min_steiner_dominating_set(t) == _leaf_superset_search(t), pa
 
     @pytest.mark.parametrize("family", ["path", "binary", "prufer"])
-    def test_leaf_superset_search_agrees_with_bit_sliced_at_the_cap(self, family):
+    def test_pruned_agrees_with_unpruned_at_the_cap(self, family):
         t = build_adjacency(gen(family, n=18, seed=1))
         size, witness = min_steiner_dominating_set(t)
         assert (size, witness) == _leaf_superset_search(t)
