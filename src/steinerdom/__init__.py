@@ -58,45 +58,9 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUDIT_FIXTURE",
-    "CapExceededError",
-    "DEFAULT_SIZES",
-    "DiscrepancyCertificate",
-    "EdgeList",
-    "FIXTURES",
-    "LabelState",
-    "ParentArray",
-    "ParseError",
-    "TreeModelError",
-    "ValidationError",
-    "audit_instance",
-    "build_adjacency",
-    "closed_neighborhood",
-    "domination_number_dp",
-    "enumerate_parent_arrays",
-    "forest_domination",
-    "format_parent_file",
-    "gen",
-    "induced_forest",
-    "is_dominating_set",
-    "is_steiner_set",
-    "leaf_set",
-    "linearity_gate",
-    "min_dominating_set",
-    "min_steiner_dominating_set",
-    "parse_edge_list",
-    "parse_parent_file",
-    "random_prufer_edges",
-    "relabel_bfs",
-    "revalidate_certificate",
-    "run_bench",
-    "run_verify",
-    "steiner_domination",
-    "steiner_number",
-    "steiner_subtree",
-    "to_edge_list",
-    "validate",
-    "write_certificate",
-    "write_csv",
-]
+__all__ = sorted([
+    "EdgeList", "LabelState", "ParentArray", "ParseError", "TreeModelError",
+    "ValidationError", "build_adjacency", "closed_neighborhood", "forest_domination",
+    "format_parent_file", "leaf_set", "parse_edge_list", "parse_parent_file",
+    "relabel_bfs", "steiner_domination", "to_edge_list", "validate", *_LAZY_MODULE,
+])

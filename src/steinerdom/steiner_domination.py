@@ -13,38 +13,38 @@ core, and on some trees that beats this construction.  The verify harness
 audits the gap against exact oracles and emits a certificate for every
 instance where the construction loses; nothing here hides that.
 
-Three passes build byte flags, indexed by tree label with n + 1 entries, for
-the leaves and the core.  Each iterates in C (map, compress,
-bytes.translate), so no per-vertex loop runs in Python before the forest
-pass:
+One labelling, built in C (map, compress, bytes.translate) with no
+per-vertex loop in Python, states the construction to the forest pass.
+The leaf flags, indexed by tree label with n + 1 entries, start all set;
+every vertex that is some vertex's parent is cleared, and then the root,
+which is a leaf iff it has at most one child.  The flags translate into
+the pass's initial labels, a leaf Outside and every other vertex Bound,
+and the leaves' neighbours, N(L), are then set Outside: the leaves'
+parents and, when the root is a leaf, its only child.  What is left Bound
+is the core, the vertices outside N[L].
 
-1. leaf flags: mark every vertex that is some vertex's parent, invert the
-   marks, then fix the root, which is a leaf iff it has at most one child;
-2. closed neighborhood N[L]: mark the leaves, their parents and, when the
-   root is a leaf, its only child;
-3. core flags: invert N[L].
-
-forest_domination then runs on the tree's own parent array with the core
-flags translated into initial labels: a core vertex starts Bound, every
-other one Outside, so the pass visits the core vertices alone, and a core
-vertex whose tree parent is in N[L], or the tree's root, is a root of the
-core forest.  It marks its set, in tree labels, into a copy of the leaf
-flags.  The result keeps the three flag arrays; every vertex tuple it
-offers is built from them when it is read.
+forest_domination runs on the tree's own parent array with these labels,
+so it visits the core vertices alone, and a core vertex whose tree parent
+is Outside, or the tree's root, is a root of the core forest.  It marks
+its set, in tree labels, into a copy of the leaf flags, and the core flags
+are read off the labels afterwards.  The result keeps the three flag
+arrays; every vertex tuple it offers is built from them when it is read.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import setitem
 
 from .forest_domination import LabelState, forest_domination
 from .tree_model import _ONE, ParentArray, Record, _find_entry, validate
 
-# swaps the 0/1 byte flags
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
-# a core flag -> the vertex's initial label: Bound in the core, else Outside
-_CORE_LABELS = bytes.maketrans(b"\0\1", bytes((LabelState.OUTSIDE, LabelState.BOUND)))
+# an int, as the setitem map sets it per vertex and an IntEnum is slower
+_OUTSIDE = LabelState.OUTSIDE.value
+# a leaf flag -> the vertex's initial label: Outside for a leaf, else Bound
+_LEAF_LABELS = bytes.maketrans(b"\0\1", bytes((LabelState.BOUND, _OUTSIDE)))
+# a label -> the core flag: set for a vertex left Bound, else unset
+_IN_CORE = bytes.maketrans(bytes(LabelState), b"\1\0\0\0")
 
 
 def _members(flags: bytes) -> tuple[int, ...]:
@@ -106,9 +106,8 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     # Flags are indexed by tree label.  par[i - 1] belongs to label i, so
     # flags[1:] lines up with par.  setitem returns None, so any() runs
     # each map to its end without keeping its results.
-    is_leaf = bytearray(n + 1)
-    any(map(setitem, repeat(is_leaf), par, repeat(1)))
-    is_leaf = is_leaf.translate(_FLIP)
+    is_leaf = bytearray(b"\1") * (n + 1)
+    any(map(setitem, repeat(is_leaf), par, repeat(0)))
     # The degree-1 test: a non-root is a leaf iff it has no child, the root
     # iff it has at most one (which covers K1).  Vertex 2, when there is
     # one, is the root's child, so the root is a leaf iff no later vertex
@@ -116,16 +115,20 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     # entry, so it reads 0.
     is_leaf[1] = _find_entry(par, _ONE, 2) < 0
 
-    # N[L] is the leaves, their parents and, when the root is a leaf, its
-    # only child: vertex 2, as parent < vertex and vertex 1 is the root.
-    in_nl = bytearray(is_leaf)
-    in_nl[0] = 1  # index 0 is no vertex; marked, it stays out of the core
-    any(map(setitem, repeat(in_nl), compress(par, is_leaf[1:]), repeat(1)))
+    # N(L) is the leaves' parents and, when the root is a leaf, its only
+    # child: vertex 2, as parent < vertex and vertex 1 is the root.  Index
+    # 0 is no vertex: it reads Bound, a leaf root's parent entry marks it,
+    # and it is set Outside last, so it stays out of the core.
+    labels = is_leaf.translate(_LEAF_LABELS)
+    support = compress(par, is_leaf[1:])
     if is_leaf[1] and n > 1:
-        in_nl[2] = 1
-    in_core = bytes(in_nl.translate(_FLIP))
-    del in_nl
+        support = chain(support, (2,))
+    any(map(setitem, repeat(labels), support, repeat(_OUTSIDE)))
+    del support  # an exhausted compress still holds its slice of the flags
+    labels[0] = _OUTSIDE
     # the core's set is marked beside the leaves, which are outside the core
     in_set = bytearray(is_leaf)
-    forest_domination(parents, labels=in_core.translate(_CORE_LABELS), into=in_set)
-    return SteinerDominationResult(bytes(is_leaf), in_core, bytes(in_set))
+    forest_domination(parents, labels=labels, into=in_set)
+    return SteinerDominationResult(
+        bytes(is_leaf), bytes(labels.translate(_IN_CORE)), bytes(in_set)
+    )

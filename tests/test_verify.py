@@ -279,6 +279,23 @@ class TestCertificateObjects:
         with pytest.raises(ValidationError, match="witness"):
             DiscrepancyCertificate(GADGET_8, 5, 3, (1, 2, 7, 8))
 
+    def test_witness_that_repeats_a_vertex_is_refused(self, tmp_path):
+        # the leaves, the centre and vertex 3 make a valid 11-vertex
+        # witness; SPIDER_26 is above the oracle caps, so only the witness
+        # itself can show that 12 entries hold 11 vertices
+        honest = (1, 2, 3, *range(19, 27))
+        repeated = (*honest, 26)
+        with pytest.raises(ValidationError, match="witness repeats a vertex"):
+            DiscrepancyCertificate(SPIDER_26, 17, 12, repeated)
+        par, sidecar = write_certificate(
+            DiscrepancyCertificate(SPIDER_26, 17, 11, honest), tmp_path, "case"
+        )
+        data = json.loads(sidecar.read_text())
+        data.update(oracle_size=12, oracle_witness=list(repeated))
+        sidecar.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="witness repeats a vertex"):
+            revalidate_certificate(par, sidecar)
+
     def test_witness_must_pass_checks(self):
         # (1, 2, 3, 8) leaves vertex 7 undominated
         with pytest.raises(ValidationError, match="definitional check"):
