@@ -129,6 +129,5 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     # the core's set is marked beside the leaves, which are outside the core
     in_set = bytearray(is_leaf)
     forest_domination(parents, labels=labels, into=in_set)
-    return SteinerDominationResult(
-        bytes(is_leaf), bytes(labels.translate(_IN_CORE)), bytes(in_set)
-    )
+    in_core = bytes(labels.translate(_IN_CORE))
+    return SteinerDominationResult(bytes(is_leaf), in_core, bytes(in_set))

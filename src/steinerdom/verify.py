@@ -84,10 +84,10 @@ class DiscrepancyCertificate(Record):
                 f"witness has {len(oracle_witness)} vertices, "
                 f"claimed size {oracle_size}"
             )
-        if len(set(oracle_witness)) != oracle_size:
+        distinct = len(set(oracle_witness))
+        if distinct != oracle_size:
             raise ValidationError(
-                f"witness repeats a vertex: {len(set(oracle_witness))} distinct "
-                f"of {oracle_size}"
+                f"witness repeats a vertex: {distinct} distinct of {oracle_size}"
             )
         t = build_adjacency(instance)
         if not (is_steiner_set(t, oracle_witness) and is_dominating_set(t, oracle_witness)):
