@@ -4,13 +4,13 @@
 Covers the same ground as the acceptance gate: every tree on up to 9
 vertices, 2,000 random trees with n <= 16, all answered by the Steiner
 oracle's bit-sliced search (n <= 18), and 2,000 more with n <= 24, where
-it searches leaf supersets above n = 18.  Each part
-writes a JSON report and a directory of discrepancy certificates under
---out.
+it searches leaf supersets above n = 18.  Each part is one
+``steinerdom verify`` run, which prints its own summary and writes a JSON
+report and a directory of discrepancy certificates under --out.
 
-Exit code is the worst across the parts: 0 all clean, 2 discrepancy
-certificates were written (expected: the shipped fixture always produces
-one), 1 on an internal failure.
+Exit code is the worst across the parts: 1 on an internal failure or a
+usage error, else 2 if discrepancy certificates were written (expected:
+the shipped fixture always produces one), else 0.
 """
 
 import argparse
@@ -19,47 +19,30 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from steinerdom import run_verify
+from steinerdom import cli
 
+# (name, verify options): the name is the report's stem and its certificates' directory
 CAMPAIGN = (
-    dict(name="exhaustive-9", mode="exhaustive", max_n=9),
-    dict(name="random-16", mode="random", max_n=16, count=2000, seed=160_004),
-    dict(name="random-24", mode="random", max_n=24, count=2000, seed=240_004),
+    ("exhaustive-9", "--mode exhaustive --max-n 9"),
+    ("random-16", "--mode random --max-n 16 --count 2000 --seed 160004"),
+    ("random-24", "--mode random --max-n 24 --count 2000 --seed 240004"),
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--out", default="audit_output", help="directory for reports and certificates"
     )
-    args = parser.parse_args()
-    out = Path(args.out)
-
-    worst = 0
-    for part in CAMPAIGN:
-        name = part["name"]
-        report = run_verify(
-            mode=part["mode"],
-            max_n=part["max_n"],
-            count=part.get("count", 0),
-            seed=part.get("seed", 0),
-            report_path=out / f"{name}.json",
-            cert_dir=out / name,
-        )
-        print(
-            f"{name}: {report.instances} instances, "
-            f"{len(report.certificates)} discrepancies, "
-            f"{report.validity_failures} validity failures, "
-            f"{report.optimality_failures} optimality failures, "
-            f"exit {report.exit_code}"
-        )
-        if report.exit_code == 1:
-            worst = 1
-        elif report.exit_code == 2 and worst != 1:
-            worst = 2
+    out = Path(parser.parse_args(argv).out)
+    codes = [
+        cli.main(["verify", *options.split(), "--report", str(out / f"{name}.json"),
+                  "--cert-dir", str(out / name)])
+        for name, options in CAMPAIGN
+    ]
     print(f"reports and certificates under {out}/")
-    return worst
+    # the worst code: 1 over 2 over 0
+    return max(codes, key=(0, 2, 1).index)
 
 
 if __name__ == "__main__":

@@ -67,8 +67,8 @@ def forest_domination(
         if len(labels) != n + 1 or labels.translate(None, _STATES):
             raise ValidationError(f"labels must hold {n + 1} states, each in 0..3")
         label = bytearray(labels)
-        # [:0:-1] lines the flags of n..1 up with the descending labels
-        order = compress(range(n, 0, -1), labels.translate(_VISIT)[:0:-1])
+        # reversed, the flags line up with n..1; compress stops before flag 0
+        order = compress(range(n, 0, -1), reversed(labels.translate(_VISIT)))
     label[0] = out
     chosen = bytearray(n + 1) if into is None else into
     for i in order:

@@ -33,7 +33,7 @@ arrays; every vertex tuple it offers is built from them when it is read.
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import setitem
 
 from .forest_domination import LabelState, forest_domination
@@ -120,14 +120,13 @@ def steiner_domination(parents: ParentArray) -> SteinerDominationResult:
     # 0 is no vertex: it reads Bound, a leaf root's parent entry marks it,
     # and it is set Outside last, so it stays out of the core.
     labels = is_leaf.translate(_LEAF_LABELS)
-    support = compress(par, is_leaf[1:])
+    any(map(setitem, repeat(labels), compress(par, is_leaf[1:]), repeat(_OUTSIDE)))
     if is_leaf[1] and n > 1:
-        support = chain(support, (2,))
-    any(map(setitem, repeat(labels), support, repeat(_OUTSIDE)))
-    del support  # an exhausted compress still holds its slice of the flags
+        labels[2] = _OUTSIDE
     labels[0] = _OUTSIDE
     # the core's set is marked beside the leaves, which are outside the core
     in_set = bytearray(is_leaf)
     forest_domination(parents, labels=labels, into=in_set)
     in_core = bytes(labels.translate(_IN_CORE))
+    del labels  # freed before the result's copies of the other two
     return SteinerDominationResult(bytes(is_leaf), in_core, bytes(in_set))

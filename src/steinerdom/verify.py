@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import chain, repeat
 from pathlib import Path
 
 from .corpus import ENUMERATION_MAX_N, FIXTURES, enumerate_parent_arrays, gen
@@ -333,8 +334,12 @@ def run_verify(
     certificates: list[DiscrepancyCertificate] = []
     certificate_files: list[str] = []
 
-    def record(audit: InstanceAudit, stem: str | None = None) -> None:
-        nonlocal oracle_checked, validity_failures, optimality_failures
+    # the fixture is audited last, under its own stem, and is no instance
+    stream = zip(_instance_stream(mode, max_n, count, seed), repeat(None))
+    for parents, stem in chain(stream, [(FIXTURES[AUDIT_FIXTURE], AUDIT_FIXTURE)]):
+        audit = audit_instance(parents)
+        if stem is None:
+            instances += 1
         if audit.oracle_size is not None:
             oracle_checked += 1
         if not audit.validity_ok:
@@ -344,20 +349,11 @@ def run_verify(
         if audit.internal_error is not None:
             internal_errors.append(audit.internal_error)
         if audit.certificate is not None:
-            if stem is None:
-                stem = f"discrepancy-{len(certificates):05d}"
+            stem = stem or f"discrepancy-{len(certificates):05d}"
             certificates.append(audit.certificate)
             certificate_files.append(stem)
             if cert_dir is not None:
                 write_certificate(audit.certificate, cert_dir, stem)
-
-    for parents in _instance_stream(mode, max_n, count, seed):
-        instances += 1
-        record(audit_instance(parents))
-
-    fixture_audit = audit_instance(FIXTURES[AUDIT_FIXTURE])
-    record(fixture_audit, stem=AUDIT_FIXTURE)
-    fixture_outcome = "certificate" if fixture_audit.certificate else "clean"
 
     exit_code = 0
     if certificates:
@@ -378,9 +374,10 @@ def run_verify(
         certificates=tuple(certificates),
         certificate_files=tuple(certificate_files),
         fixture_name=AUDIT_FIXTURE,
-        fixture_algorithm_size=fixture_audit.algorithm_size,
-        fixture_oracle_size=fixture_audit.oracle_size,
-        fixture_outcome=fixture_outcome,
+        # the loop ends on the fixture's audit
+        fixture_algorithm_size=audit.algorithm_size,
+        fixture_oracle_size=audit.oracle_size,
+        fixture_outcome="certificate" if audit.certificate else "clean",
         exit_code=exit_code,
     )
     if report_path is not None:

@@ -1,10 +1,13 @@
 """Leaf extraction, core forest construction, and the assembled set."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerdom import (
+    LabelState,
     ParentArray,
     ValidationError,
     build_adjacency,
@@ -12,6 +15,7 @@ from steinerdom import (
     domination_number_dp,
     enumerate_parent_arrays,
     forest_domination,
+    gen,
     induced_forest,
     is_steiner_set,
     leaf_set,
@@ -223,3 +227,44 @@ class TestFormulaValue:
     def test_never_below_exact_optimum(self, pa):
         t = build_adjacency(pa)
         assert min_steiner_dominating_set(t)[0] <= steiner_domination(pa).size
+
+
+class TestPeakMemory:
+    """tracemalloc peaks per vertex at n = 2.5 * 10^4.  The construction
+    keeps its labels, the leaf flags and the set's flags, and the pass a
+    copy of its labels and their visit flags: about 5 and 2 bytes per
+    vertex.  A reversed slice of the visit flags in the pass, and the
+    labels kept beside the result's copies, read 3.01 and 6.02."""
+
+    N = 25_000
+    TREES = {
+        "prufer": lambda n: gen("prufer", n, 1),
+        "path": lambda n: gen("path", n),
+        "star": lambda n: gen("star", n),
+        "caterpillar": lambda n: gen("caterpillar", spine=n // 3, pattern=(2,)),
+    }
+
+    @staticmethod
+    def _peak_per_vertex(call, n):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / n
+
+    @pytest.mark.parametrize("shape", TREES)
+    def test_construction_and_pass(self, shape):
+        t = self.TREES[shape](self.N)
+        per_v = self._peak_per_vertex(lambda: steiner_domination(t), t.n)
+        assert per_v <= 5.5, f"steiner_domination: {per_v:.2f} B/vertex"
+        # the construction's own labels: its core Bound, the rest Outside
+        labels = steiner_domination(t).in_core.translate(
+            bytes.maketrans(b"\0\1", bytes((LabelState.OUTSIDE, LabelState.BOUND)))
+        )
+        into = bytearray(t.n + 1)
+        per_v = self._peak_per_vertex(
+            lambda: forest_domination(t, labels=labels, into=into), t.n
+        )
+        assert per_v <= 2.5, f"forest_domination: {per_v:.2f} B/vertex"

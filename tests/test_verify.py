@@ -1,6 +1,8 @@
 """Audit harness: per-instance audits, reports, certificates, revalidation."""
 
+import importlib.util
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -417,3 +419,35 @@ class TestRevalidation:
         cert = DiscrepancyCertificate(SPIDER_26, 17, 11, witness)
         par, sidecar = self._write(tmp_path, cert)
         assert revalidate_certificate(par, sidecar) == cert
+
+
+class TestRunAudit:
+    """scripts/run_audit.py runs each campaign part as one verify command
+    and exits with the worst code: 1 over 2 over 0."""
+
+    TINY = ("tiny", "--mode exhaustive --max-n 3")
+    # a usage error of verify's, which exits 1
+    BAD = ("bad", "--mode random --max-n 99")
+
+    @staticmethod
+    def _main(tmp_path, campaign):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_audit.py"
+        spec = importlib.util.spec_from_file_location("run_audit", script)
+        run_audit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_audit)
+        run_audit.CAMPAIGN = campaign  # a fresh module per call
+        return run_audit.main(["--out", str(tmp_path)])
+
+    def test_the_fixture_certificate_exits_2(self, tmp_path, capsys):
+        assert self._main(tmp_path, (self.TINY,)) == 2
+        assert (tmp_path / "tiny" / f"{AUDIT_FIXTURE}.par").is_file()
+        report = json.loads((tmp_path / "tiny.json").read_text())
+        assert (report["instances"], report["exit_code"]) == (3, 2)
+        # the verify command's own summary, once per part
+        assert capsys.readouterr().out.count("instances: 3  oracle checked: 4") == 1
+
+    @pytest.mark.parametrize("order", ["bad last", "bad first"])
+    def test_a_usage_error_exits_1(self, tmp_path, capsys, order):
+        campaign = (self.TINY, self.BAD) if order == "bad last" else (self.BAD, self.TINY)
+        assert self._main(tmp_path, campaign) == 1
+        assert "max_n <= 24" in capsys.readouterr().err
