@@ -97,11 +97,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_bytes(path: str | Path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _solve_file(path_text: str, fmt: str):
     """Parse one tree file and run the construction on it: (n, result).
 
@@ -120,7 +115,7 @@ def _solve_file(path_text: str, fmt: str):
                 f"cannot infer format of {path.name or path_text!r}; "
                 "pass --format par|edg"
             )
-    data = _read_bytes(path)
+    data = path.read_bytes()
     try:
         if fmt == "par":
             parents = parse_parent_file(data)
@@ -146,33 +141,29 @@ def _solve_file(path_text: str, fmt: str):
 _BLOCK = 1000
 
 
-def _suffixes() -> tuple[str, ...]:
-    """The _BLOCK suffixes, "000" to "999", in label order.  Each solve or
-    gamma-forest call builds them (about 0.2 ms), so other commands do not
-    hold them."""
-    return tuple(map("%03d".__mod__, range(_BLOCK)))
+def _suffixes() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The _BLOCK suffixes of block 0, "0" to "999", and of every later
+    block, "000" to "999", in label order.  Each solve or gamma-forest call
+    builds them (about 0.3 ms), so other commands do not hold them."""
+    return tuple(map(str, range(_BLOCK))), tuple(map("%03d".__mod__, range(_BLOCK)))
 
 
-def _write_members(write, flags, sep: str, suffixes: tuple[str, ...]) -> None:
+def _write_members(write, flags, sep: str, suffixes) -> None:
     """Write ``sep.join(map(str, ...))`` of the labels whose flag is set,
     ascending, one block of _BLOCK labels at a time; a block without
     members writes nothing, not even a separator.
 
-    Block b >= 1 is one compress over ``suffixes`` and one join, with
-    ``str(b)`` in front of each suffix: no int and no format per member.
-    Block 0, labels 1 to 999, has no zero padding, so it formats its ints.
+    Block b is one compress over its suffix table and one join, with
+    ``str(b)`` in front of each suffix (nothing in front for block 0, whose
+    table has no zero padding): no int and no format per member.
     """
-    text = sep.join(map(str, compress(range(_BLOCK), flags[:_BLOCK])))
+    first, rest = suffixes
     lead = ""
-    if text:
-        write(text)
-        lead = sep
-    for lo in range(_BLOCK, len(flags), _BLOCK):
-        head = str(lo // _BLOCK)
-        text = (sep + head).join(compress(suffixes, flags[lo:lo + _BLOCK]))
+    for lo in range(0, len(flags), _BLOCK):
+        head, table = (str(lo // _BLOCK), rest) if lo else ("", first)
+        text = (sep + head).join(compress(table, flags[lo:lo + _BLOCK]))
         if text:
-            write(lead + head)
-            write(text)
+            write(lead + head + text)
             lead = sep
 
 
@@ -219,7 +210,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gamma_forest(args) -> int:
-    parents = parse_parent_file(_read_bytes(args.input))
+    parents = parse_parent_file(Path(args.input).read_bytes())
     # the set as byte flags, marked by the pass as steiner_domination's is,
     # for the one vertex-list writer
     in_set = bytearray(parents.n + 1)

@@ -133,8 +133,6 @@ def min_dominating_set(f: AdjacencyTree) -> tuple[int, tuple[int, ...]]:
     tuple.
     """
     n = f.n
-    if n == 0:
-        return 0, ()
     if n > DOMINATING_CAP:
         raise CapExceededError(f"n={n} exceeds dominating-set cap {DOMINATING_CAP}")
     has, sizes = _subset_planes(n)
@@ -185,8 +183,9 @@ def _first_optimum(
     n: int, valid: int, sizes: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]]:
     """The smallest k with a subset in ``valid``, and the lexicographically
-    first such k-subset: the highest bit of ``valid & sizes[k]``."""
-    for k in range(1, n + 1):
+    first such k-subset: the highest bit of ``valid & sizes[k]``.  The
+    empty set is subset 0, so the empty forest gives ``(0, ())``."""
+    for k in range(n + 1):
         found = valid & sizes[k]
         if found:
             s = found.bit_length() - 1
@@ -249,8 +248,6 @@ def domination_number_dp(f: AdjacencyTree) -> int:
     code with min_dominating_set.
     """
     n = f.n
-    if n == 0:
-        return 0
     par = f.parent
     inf = n + 2
     sum_any = [0] * (n + 1)  # sum over children of min(taken, covered, waiting)
@@ -260,9 +257,9 @@ def domination_number_dp(f: AdjacencyTree) -> int:
     for i in range(n, 0, -1):
         taken = 1 + sum_any[i]
         waiting = sum_cov[i]
+        # never above inf: inf itself without children, else the cost of
+        # one cover of the subtree, less than its size
         covered = sum_cov[i] + delta[i]
-        if covered > inf:
-            covered = inf
         p = par[i - 1]
         if p == 0:
             total += taken if taken < covered else covered

@@ -96,16 +96,21 @@ class DiscrepancyCertificate(Record):
         super().__init__(instance, algorithm_size, oracle_size, oracle_witness)
 
 
-def _certificate_json(cert: DiscrepancyCertificate) -> str:
-    payload = {
+def _certificate_fields(cert: DiscrepancyCertificate) -> dict:
+    """The fields that the sidecar and the report's entry share."""
+    return {
         "n": cert.instance.n,
         "instance": list(cert.instance.parent),
         "algorithm_size": cert.algorithm_size,
         "oracle_size": cert.oracle_size,
-        "oracle_witness": list(cert.oracle_witness),
-        # a certificate exists only if its witness passed both checks
-        "checks": {"steiner": True, "dominating": True},
     }
+
+
+def _certificate_json(cert: DiscrepancyCertificate) -> str:
+    payload = _certificate_fields(cert)
+    payload["oracle_witness"] = list(cert.oracle_witness)
+    # a certificate exists only if its witness passed both checks
+    payload["checks"] = {"steiner": True, "dominating": True}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -261,13 +266,7 @@ class VerifyReport(Record):
             "internal_errors": list(self.internal_errors),
             "discrepancies": len(self.certificates),
             "certificates": [
-                {
-                    "file": stem,
-                    "n": cert.instance.n,
-                    "instance": list(cert.instance.parent),
-                    "algorithm_size": cert.algorithm_size,
-                    "oracle_size": cert.oracle_size,
-                }
+                {"file": stem, **_certificate_fields(cert)}
                 for stem, cert in zip(self.certificate_files, self.certificates)
             ],
             "fixture": {

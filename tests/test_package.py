@@ -21,18 +21,32 @@ AUDIT_AND_BENCH = {"steinerdom.bench", "steinerdom.verify", "steinerdom.oracles"
 ON_NO_PATH = {"dataclasses", "inspect"}
 
 
-def _imports(argv, cwd, flags=()):
-    """Every module a fresh ``python -m steinerdom`` process imports, read
-    from ``-X importtime``; ``flags`` go to the interpreter."""
+def _loaded(args, cwd):
+    """Every module a fresh ``python -v *args`` process imports, read from
+    its ``import 'name' # ...`` lines.  Unlike ``-X importtime``, these
+    list a module that ``importlib.import_module`` loads, as the package's
+    lazy table does."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, *flags, "-X", "importtime", "-m", "steinerdom", *argv],
+        [sys.executable, "-v", *args],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode in (0, 2), proc.stderr
-    return {line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {line.split("'", 2)[1]
+            for line in proc.stderr.splitlines() if line.startswith("import '")}
+
+
+def _imports(argv, cwd, flags=()):
+    """Every module a fresh ``python -m steinerdom`` process imports;
+    ``flags`` go to the interpreter."""
+    return _loaded([*flags, "-m", "steinerdom", *argv], cwd)
+
+
+def test_the_probe_sees_a_lazily_loaded_module(tmp_path):
+    loaded = _loaded(["-c", "import steinerdom; steinerdom.run_bench"], tmp_path)
+    assert {"steinerdom.bench", "statistics"} <= loaded
+    assert "steinerdom.verify" not in loaded
 
 
 def test_gen_and_solve_load_no_audit_or_bench_code(tmp_path):
