@@ -549,7 +549,7 @@ def relabel_bfs(
     label order, making the relabeling deterministic.
 
     Returns the ParentArray and a label map with ``label_map[old - 1] ==
-    new``.
+    new``, built from the BFS's visit order once the BFS is done.
     """
     n = edges.n
     if n < 1:
@@ -561,11 +561,15 @@ def relabel_bfs(
     if root is not None and not 1 <= root <= n:
         raise ValidationError(f"root {root} out of range 1..{n}")
     try:
-        return _relabel_rows(n, _edge_rows(n, edges.edges), root)
+        tree, order = _relabel_rows(n, _edge_rows(n, edges.edges), root)
     except ValidationError as exc:
         pos = _first_cycle_edge(n, edges.edges)
         u, v = edges.edges[pos]
         raise ValidationError(f"{exc}; edge ({u}, {v}) closes a cycle", pos) from None
+    label_map = [0] * n
+    for new, old in enumerate(order, 1):
+        label_map[old - 1] = new
+    return tree, tuple(label_map)
 
 
 def _edge_rows(n: int, edges) -> list[list[int]]:
@@ -580,12 +584,13 @@ def _edge_rows(n: int, edges) -> list[list[int]]:
 
 def _relabel_rows(
     n: int, rows: list[list[int]], root: int | None = None
-) -> tuple[ParentArray, tuple[int, ...]]:
+) -> tuple[ParentArray, list[int]]:
     """relabel_bfs's BFS over adjacency rows, ``rows[v]`` for v in 1..n and
     an empty ``rows[0]``.  It sorts the rows, frees each row once the BFS
     has walked it and empties ``rows`` before building its output; if the
     BFS reaches fewer than n vertices, the ValidationError says how many it
-    reached."""
+    reached.  Returns the ParentArray and the visit order: the vertex that
+    gets new label i is ``order[i - 1]``."""
     any(map(list.sort, rows))  # sort returns None, so any() sorts every row
     if root is None:
         deg = list(map(len, rows))
@@ -593,34 +598,32 @@ def _relabel_rows(
         root = deg.index(max(deg), 1)
         del deg
 
-    new_of = [0] * (n + 1)
+    # a byte per vertex: a vertex's new label is its place in the queue,
+    # so no label int outlives a step
+    seen = bytearray(n + 1)
     parent = array("I", [0]) * n  # the ParentArray's own array
-    new_of[root] = 1
+    seen[root] = 1
     assigned = 1
     order = [root]  # the BFS queue: the loop walks it while it grows
-    for old in order:
-        p = new_of[old]
+    for p, old in enumerate(order, 1):
         # a row is walked once and freed at the next step, so the rows
         # shrink as the BFS's lists grow
         row = rows[old]
         rows[old] = None
         for nbr in row:
-            if not new_of[nbr]:
+            if not seen[nbr]:
+                seen[nbr] = 1
+                parent[assigned] = p
                 assigned += 1
-                new_of[nbr] = assigned
-                parent[assigned - 1] = p
                 order.append(nbr)
     del row
     rows.clear()
-    del order
     if assigned != n:
         raise ValidationError(
             f"edge list is disconnected: reached {assigned} of {n} vertices"
         )
     # a vertex's parent was labelled before it, so every entry is in range
-    tree = ParentArray._trusted(n, parent)
-    del new_of[0]  # no vertex has label 0; the label map starts at vertex 1
-    return tree, tuple(new_of)
+    return ParentArray._trusted(n, parent), order
 
 
 def _first_cycle_edge(n: int, edges: tuple[tuple[int, int], ...]) -> int:
